@@ -2,8 +2,8 @@
 mean-variance mixture return models."""
 
 from .mathkit import (BracketError, QuadratureError, QuadratureSpec,
-                      RootBracket, bessel_k, find_root,
-                      integrate_semi_infinite, normal_cdf, normal_quantile)
+                      RootBracket, find_root, integrate_semi_infinite,
+                      normal_cdf, normal_quantile)
 from .mixing import (Degenerate, Exponential, Gamma, Gig, InverseGaussian,
                      MixingLaw, MixingMoments, MomentError, skew_condition)
 from .nmvm import (NmvmModel, NotSpdError, PortfolioMoments, TransformedModel,

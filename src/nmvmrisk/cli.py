@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -53,6 +54,12 @@ def _cmd_fit(args) -> int:
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             cfg_kwargs = json.load(fh)
+        if not isinstance(cfg_kwargs, dict):
+            raise ValueError("fit config must be a JSON object")
+        unknown = set(cfg_kwargs) - {f.name for f in
+                                     dataclasses.fields(fitmod.FitConfig)}
+        if unknown:
+            raise ValueError(f"unknown fit config keys: {sorted(unknown)}")
     cfg = fitmod.FitConfig(**cfg_kwargs)
     result = fitmod.mcecm_fit(rm, cfg)
     fitmod.save_model(result.model, args.out)

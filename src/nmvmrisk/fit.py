@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from datetime import date
 
@@ -21,7 +22,8 @@ import numpy as np
 from scipy import optimize as _sopt
 from scipy import special as _sspec
 
-from .mixing import Degenerate, Gamma, Gig, InverseGaussian, MixingLaw
+from .mixing import (Degenerate, Gamma, Gig, InverseGaussian, MixingLaw,
+                     gig_log_norm)
 from .nmvm import NmvmModel
 
 __all__ = [
@@ -89,10 +91,19 @@ class FitConfig:
         if self.identification not in ("none", "unit_ez"):
             raise ValueError(f"identification must be 'none' or 'unit_ez', "
                              f"got {self.identification!r}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.ll_tol <= 0.0:
-            raise ValueError("ll_tol must be positive")
+        if not isinstance(self.include_mu, (bool, np.bool_)):
+            raise ValueError(f"include_mu must be true or false, "
+                             f"got {self.include_mu!r}")
+        if not isinstance(self.lambda_value, numbers.Real):
+            raise ValueError(f"lambda_value must be a number, "
+                             f"got {self.lambda_value!r}")
+        if not isinstance(self.max_iters, numbers.Integral) \
+                or self.max_iters < 1:
+            raise ValueError(f"max_iters must be an integer >= 1, "
+                             f"got {self.max_iters!r}")
+        if not isinstance(self.ll_tol, numbers.Real) or self.ll_tol <= 0.0:
+            raise ValueError(f"ll_tol must be a positive number, "
+                             f"got {self.ll_tol!r}")
 
 
 @dataclass(frozen=True)
@@ -196,6 +207,16 @@ def _dlog_k_dnu(nu: float, z, eps: float = 1e-5):
         / (2.0 * eps)
 
 
+def _whiten(x, mu, gamma, sigma):
+    """Cholesky factor of sigma, the squared Mahalanobis distances Q_i of the
+    rows of x from mu, and rho = gamma^T Sigma^{-1} gamma."""
+    chol = np.linalg.cholesky(sigma)
+    white = np.linalg.solve(chol, (x - mu).T)
+    q = np.sum(white * white, axis=0)
+    gamma_w = np.linalg.solve(chol, gamma)
+    return chol, q, float(gamma_w @ gamma_w)
+
+
 def _estep(x, mu, gamma, sigma, lam, chi, psi, need_log: bool):
     """Posterior moments of Z given each observation.
 
@@ -203,12 +224,7 @@ def _estep(x, mu, gamma, sigma, lam, chi, psi, need_log: bool):
     Q_i the Mahalanobis distance of x_i and rho = gamma^T Sigma^{-1} gamma.
     """
     t, n = x.shape
-    chol = np.linalg.cholesky(sigma)
-    centered = x - mu
-    white = np.linalg.solve(chol, centered.T)
-    q = np.sum(white * white, axis=0)
-    gamma_w = np.linalg.solve(chol, gamma)
-    rho = float(gamma_w @ gamma_w)
+    _, q, rho = _whiten(x, mu, gamma, sigma)
     p = lam - 0.5 * n
     chi_i = chi + q
     psi_bar = psi + rho
@@ -227,9 +243,7 @@ def _estep(x, mu, gamma, sigma, lam, chi, psi, need_log: bool):
 
 def _gig_q2(lam, chi, psi, t, sum_delta, sum_eta, sum_xi):
     """Expected complete-data log-likelihood of the mixing block."""
-    z = math.sqrt(chi * psi)
-    val = t * (0.5 * lam * (math.log(psi) - math.log(chi)) - math.log(2.0)
-               - (math.log(float(_sspec.kve(lam, z))) - z))
+    val = t * gig_log_norm(lam, chi, psi)
     if sum_xi is not None:
         val += (lam - 1.0) * sum_xi
     return val - 0.5 * (chi * sum_eta + psi * sum_delta)
@@ -237,23 +251,17 @@ def _gig_q2(lam, chi, psi, t, sum_delta, sum_eta, sum_xi):
 
 def _log_likelihood(x, mu, gamma, sigma, lam, chi, psi):
     t, n = x.shape
-    chol = np.linalg.cholesky(sigma)
+    chol, q, rho = _whiten(x, mu, gamma, sigma)
     log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    centered = x - mu
-    white = np.linalg.solve(chol, centered.T)
-    q = np.sum(white * white, axis=0)
-    gamma_w = np.linalg.solve(chol, gamma)
-    rho = float(gamma_w @ gamma_w)
-    skew_term = centered @ np.linalg.solve(sigma, gamma)
-    omega = math.sqrt(chi * psi)
+    skew_term = (x - mu) @ np.linalg.solve(sigma, gamma)
     psi_rho = psi + rho
     arg = np.sqrt((chi + q) * psi_rho)
     order = lam - 0.5 * n
     log_k = np.log(_sspec.kve(order, arg)) - arg
-    const = (0.5 * lam * (math.log(psi) - math.log(chi))
+    # the GIG constant carries a 1/2 that the GH density does not
+    const = (gig_log_norm(lam, chi, psi) + math.log(2.0)
              + (0.5 * n - lam) * math.log(psi_rho)
-             - 0.5 * n * math.log(2.0 * math.pi) - 0.5 * log_det
-             - (math.log(float(_sspec.kve(lam, omega))) - omega))
+             - 0.5 * n * math.log(2.0 * math.pi) - 0.5 * log_det)
     ll = const + log_k + skew_term - (0.5 * n - lam) * np.log(arg)
     return float(np.sum(ll))
 

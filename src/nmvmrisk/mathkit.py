@@ -1,13 +1,12 @@
 """Special functions and numerical primitives used by the rest of the package.
 
-Provides the modified Bessel function of the second kind, the standard normal
-CDF and quantile, adaptive quadrature on (0, inf), and bracketed root finding.
-All functions are pure and safe to call concurrently.
+Provides the logarithm of the modified Bessel function of the second kind,
+the standard normal CDF and quantile, adaptive quadrature on (0, inf), and
+bracketed root finding. All functions are pure and safe to call concurrently.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -20,10 +19,8 @@ __all__ = [
     "RootBracket",
     "QuadratureError",
     "BracketError",
-    "bessel_k",
     "log_bessel_k",
     "normal_cdf",
-    "normal_pdf",
     "normal_quantile",
     "integrate_semi_infinite",
     "find_root",
@@ -80,37 +77,6 @@ class RootBracket:
 DEFAULT_QUADRATURE = QuadratureSpec()
 
 
-def bessel_k(order: float, x: float) -> float:
-    """Modified Bessel function of the second kind K_order(x), x > 0.
-
-    Half-integer orders (the workhorse for inverse-Gaussian mixing) use the
-    closed forms generated from K_{1/2}(x) = sqrt(pi/(2x)) exp(-x) by the
-    three-term recurrence; other orders defer to the series/asymptotic kernel
-    in scipy. Satisfies K_order = K_{-order}. Returns +inf on overflow
-    (x near 0 with large |order|).
-    """
-    if not x > 0.0:
-        raise ValueError(f"bessel_k requires x > 0, got {x}")
-    order = abs(float(order))
-    doubled = 2.0 * order
-    if doubled == round(doubled) and int(round(doubled)) % 2 == 1:
-        return _bessel_k_half_integer(order, float(x))
-    return float(_sspec.kv(order, x))
-
-
-def _bessel_k_half_integer(order: float, x: float) -> float:
-    # order = m + 1/2 with m >= 0; upward recurrence from K_{1/2} = K_{-1/2}
-    k_lo = math.sqrt(math.pi / (2.0 * x)) * math.exp(-x)
-    m = int(round(order - 0.5))
-    if m == 0:
-        return k_lo
-    k_hi = k_lo * (1.0 + 1.0 / x)  # K_{3/2}
-    for j in range(1, m):
-        nu = j + 0.5
-        k_lo, k_hi = k_hi, (2.0 * nu / x) * k_hi + k_lo
-    return k_hi
-
-
 def log_bessel_k(order, x):
     """log K_order(x), stable for large x via the exponentially scaled kernel.
 
@@ -125,11 +91,6 @@ def log_bessel_k(order, x):
 def normal_cdf(x: float) -> float:
     """Standard normal cumulative distribution function."""
     return float(_sspec.ndtr(x))
-
-
-def normal_pdf(x: float) -> float:
-    """Standard normal density."""
-    return float(np.exp(-0.5 * float(x) ** 2) / math.sqrt(2.0 * math.pi))
 
 
 def normal_quantile(p: float) -> float:

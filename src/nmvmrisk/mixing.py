@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy import special as _sspec
 from scipy import stats as _sstats
 
 from .mathkit import QuadratureSpec, integrate_semi_infinite, log_bessel_k
@@ -89,6 +90,14 @@ class MixingLaw:
             raise ValueError(f"sample count must be >= 1, got {n}")
 
 
+def gig_log_norm(lam: float, chi: float, psi: float) -> float:
+    """log of the GIG(lam, chi, psi) density's normalizing constant
+    (psi/chi)^(lam/2) / (2 K_lam(sqrt(chi psi))), for chi, psi > 0."""
+    z = math.sqrt(chi * psi)
+    return (0.5 * lam * (math.log(psi) - math.log(chi)) - math.log(2.0)
+            - (math.log(float(_sspec.kve(lam, z))) - z))
+
+
 @dataclass(frozen=True)
 class Gig(MixingLaw):
     """Generalized inverse Gaussian law GIG(lam, chi, psi)."""
@@ -121,10 +130,8 @@ class Gig(MixingLaw):
     def _log_density_pos(self, w):
         lam, chi, psi = self.lam, self.chi, self.psi
         if chi > 0.0 and psi > 0.0:
-            omega = math.sqrt(chi * psi)
-            log_norm = (0.5 * lam * (math.log(psi) - math.log(chi))
-                        - math.log(2.0) - float(log_bessel_k(lam, omega)))
-            return log_norm + (lam - 1.0) * np.log(w) - 0.5 * (chi / w + psi * w)
+            return (gig_log_norm(lam, chi, psi) + (lam - 1.0) * np.log(w)
+                    - 0.5 * (chi / w + psi * w))
         if chi == 0.0:  # Gamma(lam, psi/2)
             rate = 0.5 * psi
             return (lam * math.log(rate) - math.lgamma(lam)

@@ -106,11 +106,6 @@ class TransformedModel:
     def n(self) -> int:
         return self.mu0.shape[0]
 
-    def fingerprint(self) -> tuple:
-        """Hashable identity used to key per-model caches."""
-        return (self.mu0.tobytes(), self.gamma0.tobytes(), self.e_a.tobytes(),
-                repr(self.mixing))
-
     def cos_angle(self, x: np.ndarray) -> float:
         """Cosine of the angle between x and gamma0 (0 when gamma0 = 0)."""
         norm = float(np.linalg.norm(x))

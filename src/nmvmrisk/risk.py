@@ -17,22 +17,22 @@ with y = y_beta(a). A portfolio with x = A^T omega then has
 
 and the map a -> risk(Y_a) is decreasing and convex for coherent measures,
 which justifies the two-point (chord) and piecewise approximations evaluated
-from at most a handful of Y_a computations per model and level.
+from at most a handful of Y_a computations per mixing law and level.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import optimize as _sopt
 from scipy import special as _sspec
 
-from .mathkit import (QuadratureSpec, RootBracket, find_root,
-                      log_bessel_k, normal_quantile)
-from .mixing import Gig, MixingLaw
+from .mathkit import (DEFAULT_QUADRATURE, QuadratureSpec, RootBracket,
+                      find_root, log_bessel_k, normal_quantile)
+from .mixing import Gig, MixingLaw, gig_log_norm
 from .nmvm import TransformedModel, UnivariateMixture
 
 __all__ = [
@@ -78,7 +78,8 @@ class RiskResult:
 
 @dataclass(frozen=True)
 class TwoPointCoefficients:
-    """Chord coefficients of the two-point approximation at one level beta.
+    """Chord coefficients of the two-point approximation for one mixing law,
+    endpoint b = ||gamma0||, level beta and quadrature spec.
 
     w_plus/w_minus interpolate VaR, v_plus/v_minus interpolate CVaR:
     value(Y_a) ~ w_plus + w_minus * (a / b). Because a -> risk(Y_a) is
@@ -143,30 +144,13 @@ def _density_ya_gig(mixing: Gig, a: float, y: float) -> float:
     lam, chi, psi = mixing.lam, mixing.chi, mixing.psi
     psi_a = psi + a * a
     q = math.sqrt((chi + y * y) * psi_a)
-    omega = math.sqrt(chi * psi)
-    log_val = (0.5 * lam * (math.log(psi) - math.log(chi))
+    # the GIG constant carries 1/2 where this density has 1/sqrt(2 pi)
+    log_val = (gig_log_norm(lam, chi, psi) + 0.5 * math.log(2.0 / math.pi)
                + (0.5 - lam) * math.log(psi_a)
-               - 0.5 * math.log(2.0 * math.pi)
-               - float(log_bessel_k(lam, omega))
                + float(log_bessel_k(lam - 0.5, q))
                + a * y
                - (0.5 - lam) * math.log(q))
     return math.exp(log_val)
-
-
-# per-thread count of mixture quadratures behind the latest var/cvar call,
-# surfaced in RiskResult diagnostics
-_eval_log = threading.local()
-
-
-def _log_evals(n: int):
-    _eval_log.count = getattr(_eval_log, "count", 0) + n
-
-
-def _take_evals() -> int:
-    count = getattr(_eval_log, "count", 0)
-    _eval_log.count = 0
-    return count
 
 
 def var_ya(law: YaLaw, beta: float, spec: QuadratureSpec | None = None) -> float:
@@ -177,6 +161,12 @@ def var_ya(law: YaLaw, beta: float, spec: QuadratureSpec | None = None) -> float
     doublings, for heavy-tailed mixing at small beta).
     """
     _check_beta(beta)
+    return _var_solve(law, beta, spec)[0]
+
+
+def _var_solve(law: YaLaw, beta: float,
+               spec: QuadratureSpec | None) -> tuple[float, int]:
+    """var_ya's root and the number of mixture quadratures it took."""
     mm = law.mixing.moments()
     width = abs(law.a) * mm.ez + 10.0 * math.sqrt(mm.ez)
     calls = 0
@@ -201,15 +191,18 @@ def var_ya(law: YaLaw, beta: float, spec: QuadratureSpec | None = None) -> float
     else:
         raise ArithmeticError(
             f"could not bracket the {beta}-quantile of Y_a (a={law.a})")
-    root = find_root(objective, RootBracket(lo, hi, tol=1e-12))
-    _log_evals(calls)
-    return root
+    return find_root(objective, RootBracket(lo, hi, tol=1e-12)), calls
 
 
 def cvar_ya(law: YaLaw, beta: float, spec: QuadratureSpec | None = None) -> float:
     """CVaR of Y_a at level beta via the conditional-tail expectation."""
     _check_beta(beta)
-    y = var_ya(law, beta, spec)
+    return _cvar_tail(law, var_ya(law, beta, spec), beta, spec)
+
+
+def _cvar_tail(law: YaLaw, y: float, beta: float,
+               spec: QuadratureSpec | None) -> float:
+    """CVaR of Y_a given its VaR y; one mixture quadrature."""
     a = law.a
     with np.errstate(under="ignore"):
         val = law.mixing.expect(
@@ -217,7 +210,6 @@ def cvar_ya(law: YaLaw, beta: float, spec: QuadratureSpec | None = None) -> floa
                        - np.sqrt(s / (2.0 * math.pi))
                        * np.exp(-0.5 * (y + a * s) ** 2 / s)),
             spec)
-    _log_evals(1)
     return -val / beta
 
 
@@ -233,36 +225,36 @@ def risk_ya(law: YaLaw, measure: str, beta: float,
 # Portfolio-level evaluation
 # ---------------------------------------------------------------------------
 
-_cache_lock = threading.Lock()
-_two_point_cache: dict = {}
-_h_cache: dict = {}
+_SCALAR_RISK_MEMO_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=_SCALAR_RISK_MEMO_SIZE)
+def _scalar_risk(mixing: MixingLaw, a: float, measure: str, beta: float,
+                 spec: QuadratureSpec) -> float:
+    # risk(Y_a) depends on nothing else, so the key holds no model vectors
+    return risk_ya(YaLaw(a, mixing), measure, beta, spec)
 
 
 def clear_caches():
-    """Drop memoized two-point coefficients and h values."""
-    with _cache_lock:
-        _two_point_cache.clear()
-        _h_cache.clear()
+    """Drop the memoized scalar risks risk(Y_a)."""
+    _scalar_risk.cache_clear()
 
 
 def h(tm: TransformedModel, a: float, measure: str, beta: float,
       spec: QuadratureSpec | None = None) -> float:
-    """risk(Y_a) for the model's mixing law; memoized per (model, level).
+    """risk(Y_a) for the model's mixing law.
 
-    Decreasing, convex, and continuous in a when the measure is coherent;
-    for VaR those structural guarantees are only checked empirically, which
-    is also the basis on which the chord approximation is applied to it.
+    Memoized in a bounded least-recently-used table keyed on (mixing law, a,
+    measure, beta, quadrature spec); models sharing a mixing law share
+    entries. Decreasing, convex, and continuous in a when the measure is
+    coherent; for VaR those structural guarantees are only checked
+    empirically, which is also the basis on which the chord approximation is
+    applied to it.
     """
     _check_measure(measure)
     _check_beta(beta)
-    key = (tm.fingerprint(), measure, beta, float(a))
-    with _cache_lock:
-        if key in _h_cache:
-            return _h_cache[key]
-    value = risk_ya(YaLaw(a, tm.mixing), measure, beta, spec)
-    with _cache_lock:
-        _h_cache[key] = value
-    return value
+    return _scalar_risk(tm.mixing, float(a), measure, beta,
+                        spec or DEFAULT_QUADRATURE)
 
 
 def portfolio_risk_exact(tm: TransformedModel, x: np.ndarray, measure: str,
@@ -277,14 +269,17 @@ def portfolio_risk_exact(tm: TransformedModel, x: np.ndarray, measure: str,
         raise ValueError("x must be nonzero")
     cos_theta = tm.cos_angle(x)
     a = tm.gamma0_norm * cos_theta
-    _take_evals()
-    tail = risk_ya(YaLaw(a, tm.mixing), measure, beta, spec)
-    used = spec or QuadratureSpec()
+    law = YaLaw(a, tm.mixing)
+    tail, evaluations = _var_solve(law, beta, spec)
+    if measure == "cvar":
+        tail = _cvar_tail(law, tail, beta, spec)
+        evaluations += 1
+    used = spec or DEFAULT_QUADRATURE
     value = -float(x @ tm.mu0) + norm * tail
     return RiskResult(value=value, method="exact_quadrature", beta=beta,
                       diagnostics={"a": a, "cos_theta": cos_theta,
                                    "scalar_risk": tail,
-                                   "quadrature_evaluations": _take_evals(),
+                                   "quadrature_evaluations": evaluations,
                                    "quadrature_abs_tol": used.abs_tol})
 
 
@@ -292,28 +287,22 @@ def two_point_coefficients(tm: TransformedModel, beta: float,
                            spec: QuadratureSpec | None = None) -> TwoPointCoefficients:
     """Chord coefficients from the two endpoint laws Y_{+-b}, b = ||gamma0||.
 
-    Computed once per (model, beta) and cached; repeated portfolio
-    evaluations at the same level reuse the four scalars.
+    The four endpoint values come from the scalar-risk memo that h uses, so
+    repeated calls for one mixing law, level and spec solve nothing anew.
     """
     _check_beta(beta)
     b = tm.gamma0_norm
     if b <= 0.0:
         raise ValueError("two-point coefficients require ||gamma0|| > 0; "
                          "use the elliptical path for gamma = 0")
-    key = (tm.fingerprint(), beta)
-    with _cache_lock:
-        if key in _two_point_cache:
-            return _two_point_cache[key]
-    law_p, law_m = YaLaw(b, tm.mixing), YaLaw(-b, tm.mixing)
-    var_p, var_m = var_ya(law_p, beta, spec), var_ya(law_m, beta, spec)
-    cvar_p, cvar_m = cvar_ya(law_p, beta, spec), cvar_ya(law_m, beta, spec)
-    coeffs = TwoPointCoefficients(
+    spec = spec or DEFAULT_QUADRATURE
+    var_p, var_m, cvar_p, cvar_m = (
+        _scalar_risk(tm.mixing, a, measure, beta, spec)
+        for measure, a in (("var", b), ("var", -b), ("cvar", b), ("cvar", -b)))
+    return TwoPointCoefficients(
         w_plus=0.5 * (var_p + var_m), w_minus=0.5 * (var_p - var_m),
         v_plus=0.5 * (cvar_p + cvar_m), v_minus=0.5 * (cvar_p - cvar_m),
         b=b)
-    with _cache_lock:
-        _two_point_cache[key] = coeffs
-    return coeffs
 
 
 def portfolio_risk_two_point(tm: TransformedModel, x: np.ndarray, measure: str,

@@ -79,6 +79,20 @@ class TestFitCommand:
         assert code == EXIT_OK
         assert json.loads(out)["converged"] is False
 
+    @pytest.mark.parametrize("config", [
+        {"bogus_key": 1}, [1, 2], {"max_iters": "10"},
+        {"lambda_value": "-0.5"}, {"include_mu": "no"}])
+    def test_bad_config_exits_one(self, tmp_path, capsys, config):
+        prices = make_prices(tmp_path, t=250)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        code, out, err = run(capsys, "fit", "--input", str(prices),
+                             "--config", str(cfg),
+                             "--out", str(tmp_path / "m.json"))
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error: ")
+
 
 class TestRiskCommand:
     def test_exact_json_record(self, capsys):
@@ -146,8 +160,10 @@ class TestRiskCommand:
                              "--method", "two-point")
             assert code == EXIT_OK
         assert calls["n"] == 3  # wrapper called per run ...
-        # ... but the cache holds exactly one coefficient set
-        assert len(riskmod._two_point_cache) == 1
+        # ... but the memo holds just the four endpoint values, reused
+        memo = riskmod._scalar_risk.cache_info()
+        assert memo.currsize == 4
+        assert memo.hits == 8
 
 
 class TestFrontierCommand:

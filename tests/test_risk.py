@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import nmvmrisk as nr
 from nmvmrisk import risk as riskmod
-from nmvmrisk.mathkit import normal_pdf, normal_quantile
+from nmvmrisk.mathkit import QuadratureSpec, normal_quantile
 from nmvmrisk.mixing import Degenerate, Gamma, Gig
 from nmvmrisk.nmvm import UnivariateMixture, project, transform
 from nmvmrisk.risk import (YaLaw, cdf_ya, clear_caches, cvar_via_F, cvar_ya,
@@ -71,8 +71,8 @@ class TestDensityYa:
     def test_degenerate_is_standard_normal(self):
         law = YaLaw(0.0, Degenerate())
         for y in (-1.3, 0.0, 2.1):
-            assert density_ya(law, y) == pytest.approx(normal_pdf(y),
-                                                       rel=1e-12)
+            assert density_ya(law, y) == pytest.approx(
+                math.exp(-0.5 * y * y) / math.sqrt(2.0 * math.pi), rel=1e-12)
 
     def test_closed_form_matches_quadrature(self):
         law = YaLaw(0.02, MIXING_REF)
@@ -177,6 +177,24 @@ class TestH:
         h(tm_location, 0.01, "var", 0.1)
         h(tm_location, 0.01, "var", 0.1)
         assert calls["n"] == 1
+
+    def test_memo_keyed_on_quadrature_spec(self, tm_location):
+        fresh = h(tm_location, 0.01, "cvar", 0.05)
+        fresh_coeffs = two_point_coefficients(tm_location, 0.05)
+        clear_caches()
+        loose = QuadratureSpec(abs_tol=1e-3, rel_tol=1e-3)
+        assert h(tm_location, 0.01, "cvar", 0.05, loose) != fresh
+        assert two_point_coefficients(tm_location, 0.05, loose) != fresh_coeffs
+        assert h(tm_location, 0.01, "cvar", 0.05) == fresh
+        assert two_point_coefficients(tm_location, 0.05) == fresh_coeffs
+
+    def test_memo_is_bounded(self):
+        memo = riskmod._scalar_risk
+        maxsize = memo.cache_info().maxsize
+        spec = QuadratureSpec()
+        for i in range(maxsize + 10):
+            memo(Degenerate(), i * 1e-4, "var", 0.1, spec)
+        assert memo.cache_info().currsize <= maxsize
 
 
 class TestPortfolioRiskExact:
