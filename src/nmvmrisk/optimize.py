@@ -4,8 +4,8 @@ The mean-risk-skewness problem with constraints x^T m = r, x^T e_A = 1
 collapses to min ||x||^2 whenever the mixing law keeps skewness monotone in
 the alignment angle; the solution is the two-constraint least-norm point
 x = (s/2) m + (t/2) e_A. The mean-risk problem with a return floor reduces to
-two dimensions (the coordinates of x along mu0 and gamma0), optimized
-numerically on a coarse grid plus local refinement.
+two dimensions (the coordinates of x along mu0 and gamma0), where it is
+solved by one SLSQP run with the return floor as a linear constraint.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from scipy import optimize as _sopt
 
 from .mathkit import QuadratureSpec
 from .mixing import skew_condition
-from .nmvm import TransformedModel, portfolio_moments
+from .nmvm import TransformedModel, portfolio_moments, skew_derivative
 from .risk import YaLaw, portfolio_risk_exact, risk_ya
 
 __all__ = [
@@ -140,45 +140,28 @@ def frontier(tm: TransformedModel, r_grid, beta: float,
     return points
 
 
-def _reduced_objective_factory(tm, g_inv, has_mu, has_gamma, measure, beta,
-                               ez, k, spec):
-    b = tm.gamma0_norm
-
-    def coords(mu_t: float, gam_t: float) -> np.ndarray:
-        parts = []
-        if has_mu:
-            parts.append(mu_t)
-        if has_gamma:
-            parts.append(gam_t)
-        parts.append(1.0)
-        return np.array(parts)
-
-    def objective(mu_t: float, gam_t: float) -> float:
-        if mu_t + gam_t * ez < k - 1e-12 * max(1.0, abs(k)):
-            return math.inf
-        v = coords(mu_t, gam_t)
-        g = float(v @ g_inv @ v)
-        if g <= 0.0:
-            return math.inf
-        sg = math.sqrt(g)
-        a_eff = 0.0 if sg == 0.0 else min(max(gam_t / sg, -b), b)
-        return -mu_t + sg * risk_ya(YaLaw(a_eff, tm.mixing), measure, beta, spec)
-
-    return coords, objective
+_SLSQP_OPTIONS = {"ftol": 1e-15, "maxiter": 200}
 
 
 def solve_mean_risk_reduced(tm: TransformedModel, measure: str, beta: float,
                             k: float, spec: QuadratureSpec | None = None,
-                            grid_size: int = 41) -> ReducedSolution:
+                            grid_size: int | None = None) -> ReducedSolution:
     """Minimize portfolio risk subject to x^T e_A = 1 and expected return >= k.
 
     Works in the two reduced coordinates (x^T mu0, x^T gamma0); identically
     zero direction vectors drop out of the basis (the elliptical and
     no-location special cases), while genuinely collinear ones raise
-    SingularGramError. Coarse grid search over a data-driven box followed by
-    nested one-dimensional refinements from the best points, seeded with the
-    least-norm portfolio at the return floor so the result never falls behind
-    that anchor.
+    SingularGramError. The reduced problem is convex for CVaR, so one SLSQP
+    solve with the return floor as a linear constraint replaces any search;
+    each coordinate is scaled by its direction's reach so that SLSQP's
+    absolute finite-difference steps fit the problem. The solve starts from
+    the least-norm portfolio at the return floor, and that anchor is also the
+    fallback: a result that is infeasible or worse than the anchor (possible
+    for VaR, which is not convex) is replaced by it.
+
+    grid_size has no effect: the convex solve needs no search grid. It is
+    still accepted so that callers written for the former grid search keep
+    working.
     """
     if tm.mode != "mean_risk":
         raise ValueError(
@@ -188,100 +171,72 @@ def solve_mean_risk_reduced(tm: TransformedModel, measure: str, beta: float,
     ez = tm.mixing.moments().ez
     e_norm = float(np.linalg.norm(tm.e_a))
     zero_tol = 1e-13 * max(e_norm, 1.0)
-    has_mu = float(np.linalg.norm(tm.mu0)) > zero_tol
-    has_gamma = tm.gamma0_norm > zero_tol
-    cols = []
+    b = tm.gamma0_norm
+    mu_norm = float(np.linalg.norm(tm.mu0))
+    has_mu = mu_norm > zero_tol
+    has_gamma = b > zero_tol
+    # the kept coordinates u of x along mu0 and gamma0: the expected return
+    # is ret_row @ u, and each is scaled by its direction's reach
+    reach = 4.0 * (1.0 / e_norm
+                   + (abs(k) + 1e-9) / max(float(np.linalg.norm(tm.m)), 1e-12))
+    cols, ret_row, scale = [], [], []
     if has_mu:
         cols.append(tm.mu0)
+        ret_row.append(1.0)
+        scale.append(mu_norm * reach)
     if has_gamma:
         cols.append(tm.gamma0)
+        ret_row.append(ez)
+        scale.append(b * reach)
     cols.append(tm.e_a)
+    ret_row, scale = np.array(ret_row), np.array(scale)
     basis = np.column_stack(cols)
     gram = basis.T @ basis
     if np.linalg.cond(gram) > 1e14:
         raise SingularGramError(
             f"direction vectors are collinear: cond(G)={np.linalg.cond(gram):.3e}")
     g_inv = np.linalg.inv(gram)
-    coords, objective = _reduced_objective_factory(
-        tm, g_inv, has_mu, has_gamma, measure, beta, ez, k, spec)
 
-    # data-driven box: a few multiples of the least-norm feasible scale
-    x_mv_norm = 1.0 / e_norm
-    m_norm = float(np.linalg.norm(tm.m))
-    reach = 4.0 * (x_mv_norm + (abs(k) + 1e-9) / max(m_norm, 1e-12))
-    mu_center = float(tm.e_a @ tm.mu0) / e_norm ** 2
-    gam_center = float(tm.e_a @ tm.gamma0) / e_norm ** 2
-    mu_half = float(np.linalg.norm(tm.mu0)) * reach if has_mu else 0.0
-    gam_half = tm.gamma0_norm * reach if has_gamma else 0.0
+    def objective(u: np.ndarray) -> float:
+        v = np.append(u, 1.0)
+        sg = math.sqrt(float(v @ g_inv @ v))
+        mu_t = float(u[0]) if has_mu else 0.0
+        gam_t = float(u[-1]) if has_gamma else 0.0
+        a = min(max(gam_t / sg, -b), b)
+        return -mu_t + sg * risk_ya(YaLaw(a, tm.mixing), measure, beta, spec)
 
-    candidates: list[tuple[float, float, float]] = []
-
-    def consider(mu_t: float, gam_t: float):
-        val = objective(mu_t, gam_t)
-        if math.isfinite(val):
-            candidates.append((val, mu_t, gam_t))
-
-    mu_grid = (np.linspace(mu_center - mu_half, mu_center + mu_half, grid_size)
-               if has_mu else np.array([0.0]))
-    gam_grid = (np.linspace(gam_center - gam_half, gam_center + gam_half,
-                            grid_size) if has_gamma else np.array([0.0]))
-    for mu_t in mu_grid:
-        for gam_t in gam_grid:
-            consider(float(mu_t), float(gam_t))
-
-    # anchor: least-norm x with x^T m = k, x^T e_A = 1 (feasible with equality)
+    # anchor: least-norm x with x^T m = k, x^T e_A = 1; when m is parallel to
+    # e_A, every x with x^T e_A = 1 earns the same return, and the least-norm
+    # one stands in
     mm = float(tm.m @ tm.m)
     me = float(tm.m @ tm.e_a)
     ee = e_norm ** 2
-    det = mm * ee - me * me
-    if abs(det) > 1e-14 * max(mm * ee, 1e-300):
+    if abs(mm * ee - me * me) > 1e-14 * max(mm * ee, 1e-300):
         c = np.linalg.solve(np.array([[mm, me], [me, ee]]), np.array([k, 1.0]))
         x_anchor = c[0] * tm.m + c[1] * tm.e_a
-        consider(float(x_anchor @ tm.mu0) if has_mu else 0.0,
-                 float(x_anchor @ tm.gamma0) if has_gamma else 0.0)
-    if not candidates:
-        raise ArithmeticError(
-            "no feasible point found in the search box; check k")
-    candidates.sort(key=lambda trip: trip[0])
-
-    def refine(mu_t: float, gam_t: float, val: float):
-        width_mu = max(mu_half / (grid_size - 1), 1e-9) if has_mu else 0.0
-        width_gam = max(gam_half / (grid_size - 1), 1e-9) if has_gamma else 0.0
-        for _ in range(4):
-            if has_mu:
-                lo = max(mu_t - 2.0 * width_mu, k - gam_t * ez)
-                res = _sopt.minimize_scalar(
-                    lambda v: objective(v, gam_t),
-                    bounds=(lo, mu_t + 2.0 * width_mu), method="bounded",
-                    options={"xatol": 1e-11})
-                if res.fun < val:
-                    mu_t, val = float(res.x), float(res.fun)
-            if has_gamma:
-                lo = gam_t - 2.0 * width_gam
-                if ez > 0.0:
-                    lo = max(lo, (k - mu_t) / ez)
-                res = _sopt.minimize_scalar(
-                    lambda v: objective(mu_t, v),
-                    bounds=(lo, gam_t + 2.0 * width_gam), method="bounded",
-                    options={"xatol": 1e-11})
-                if res.fun < val:
-                    gam_t, val = float(res.x), float(res.fun)
-            width_mu *= 0.25
-            width_gam *= 0.25
-        return val, mu_t, gam_t
-
-    best = candidates[0]
-    for val, mu_t, gam_t in candidates[:3]:
-        refined = refine(mu_t, gam_t, val)
-        if refined[0] < best[0]:
-            best = refined
-    _, mu_star, gam_star = best
-    v = coords(mu_star, gam_star)
-    x_star = basis @ (g_inv @ v)
+    else:
+        x_anchor = tm.e_a / ee
+    u_best = basis[:, :-1].T @ x_anchor
+    slack = 1e-12 * max(1.0, abs(k))
+    if float(ret_row @ u_best) < k - slack:
+        raise ArithmeticError("no feasible portfolio meets the return floor; "
+                              "check k")
+    if u_best.size:
+        best = objective(u_best)
+        res = _sopt.minimize(
+            lambda z: objective(z * scale), u_best / scale, method="SLSQP",
+            constraints=[{"type": "ineq",
+                          "fun": lambda z: float(ret_row @ (z * scale)) - k,
+                          "jac": lambda z: ret_row * scale}],
+            options=_SLSQP_OPTIONS)
+        u_res = res.x * scale
+        if float(ret_row @ u_res) >= k - slack and res.fun <= best:
+            u_best = u_res
+    v = np.append(u_best, 1.0)
     return ReducedSolution(
-        mu_tilde_star=mu_star if has_mu else 0.0,
-        gamma_tilde_star=gam_star if has_gamma else 0.0,
-        x_star=x_star,
+        mu_tilde_star=float(u_best[0]) if has_mu else 0.0,
+        gamma_tilde_star=float(u_best[-1]) if has_gamma else 0.0,
+        x_star=basis @ (g_inv @ v),
         g_value=float(v @ g_inv @ v))
 
 
@@ -292,8 +247,6 @@ def check_skew_monotonicity(tm: TransformedModel,
     Returns the value of m3(Z) EZ - 2 Var(Z)^2 together with a grid check
     that the derivative of skewness in phi is nonnegative on [-1, 1].
     """
-    from .nmvm import skew_derivative
-
     cond = skew_condition(tm.mixing)
     grid = np.linspace(-1.0, 1.0, grid_points)
     monotone = all(skew_derivative(tm, float(phi)) >= -1e-12 for phi in grid)

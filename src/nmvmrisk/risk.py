@@ -231,8 +231,13 @@ _SCALAR_RISK_MEMO_SIZE = 4096
 @functools.lru_cache(maxsize=_SCALAR_RISK_MEMO_SIZE)
 def _scalar_risk(mixing: MixingLaw, a: float, measure: str, beta: float,
                  spec: QuadratureSpec) -> float:
-    # risk(Y_a) depends on nothing else, so the key holds no model vectors
-    return risk_ya(YaLaw(a, mixing), measure, beta, spec)
+    # risk(Y_a) depends on nothing else, so the key holds no model vectors;
+    # a CVaR entry reuses the memoized VaR instead of solving it again
+    law = YaLaw(a, mixing)
+    if measure == "var":
+        return var_ya(law, beta, spec)
+    return _cvar_tail(law, _scalar_risk(mixing, a, "var", beta, spec), beta,
+                      spec)
 
 
 def clear_caches():

@@ -12,7 +12,7 @@ from nmvmrisk.nmvm import portfolio_moments, transform
 from nmvmrisk.optimize import (DegenerateConstraintsError, SingularGramError,
                                check_skew_monotonicity, frontier,
                                solve_mean_risk_reduced, solve_mean_risk_skew)
-from nmvmrisk.risk import portfolio_risk_exact
+from nmvmrisk.risk import YaLaw, portfolio_risk_exact, risk_ya
 
 # golden five-column weight table for the skew model; the five target
 # returns form the uniform grid 0.002 * (9 + j) / 9
@@ -225,6 +225,53 @@ class TestMeanRiskReduced:
         omega_mv = np.linalg.solve(sigma, ones)
         omega_mv /= omega_mv.sum()
         assert np.abs(omega - omega_mv).max() <= 1e-6
+
+    def test_reaches_cvar_optimum(self, tm_location):
+        # Nelder-Mead on the reduced objective reaches the same optimum,
+        # 0.0521862086; grid_size no longer changes anything
+        sol = solve_mean_risk_reduced(tm_location, "cvar", 0.05, k=0.001)
+        got = portfolio_risk_exact(tm_location, sol.x_star, "cvar", 0.05).value
+        assert got <= 0.0521862087
+        coarse = solve_mean_risk_reduced(tm_location, "cvar", 0.05, k=0.001,
+                                         grid_size=5)
+        assert np.array_equal(coarse.x_star, sol.x_star)
+
+    def test_active_return_floor(self, tm_location):
+        # k = 0.006 lies above the unconstrained optimum's return, so the
+        # solution sits on the floor, below the anchor's 0.7086684
+        k = 0.006
+        sol = solve_mean_risk_reduced(tm_location, "cvar", 0.05, k=k)
+        assert float(sol.x_star @ tm_location.m) == pytest.approx(k, abs=1e-12)
+        got = portfolio_risk_exact(tm_location, sol.x_star, "cvar", 0.05).value
+        assert got <= 0.70823844
+
+    def test_location_only_direction(self, location_model):
+        # gamma = 0 drops the gamma coordinate, leaving u = x^T mu0 free; the
+        # risk is -u + h0 sqrt(g(u)) with g(u) = al u^2 + 2 be u + ga, whose
+        # stationary point solves (al u + be)^2 (h0^2 al - 1) = al ga - be^2
+        model = nr.NmvmModel(mu=location_model.mu, gamma=np.zeros(5),
+                             sigma=location_model.sigma,
+                             mixing=location_model.mixing)
+        tm = transform(model, mode="mean_risk")
+        k = -0.01
+        sol = solve_mean_risk_reduced(tm, "cvar", 0.05, k=k)
+        assert sol.gamma_tilde_star == 0.0
+        assert float(sol.x_star @ tm.e_a) == pytest.approx(1.0, abs=1e-12)
+        assert float(sol.x_star @ tm.m) >= k
+        got = portfolio_risk_exact(tm, sol.x_star, "cvar", 0.05).value
+        h0 = risk_ya(YaLaw(0.0, tm.mixing), "cvar", 0.05)
+        basis = np.column_stack([tm.mu0, tm.e_a])
+        (al, be), (_, ga) = np.linalg.inv(basis.T @ basis)
+        u = (math.sqrt((al * ga - be * be) / (h0 * h0 * al - 1.0)) - be) / al
+        assert u >= k
+        assert got == pytest.approx(
+            -u + h0 * math.sqrt(al * u * u + 2.0 * be * u + ga), abs=1e-12)
+        mm = float(tm.m @ tm.m)
+        me = float(tm.m @ tm.e_a)
+        ee = float(tm.e_a @ tm.e_a)
+        c = np.linalg.solve(np.array([[mm, me], [me, ee]]), [k, 1.0])
+        x_anchor = c[0] * tm.m + c[1] * tm.e_a
+        assert got <= portfolio_risk_exact(tm, x_anchor, "cvar", 0.05).value
 
     def test_gram_spd_for_reference_model(self, tm_location):
         basis = np.column_stack([tm_location.mu0, tm_location.gamma0,

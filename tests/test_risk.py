@@ -167,13 +167,13 @@ class TestH:
 
     def test_memoized(self, tm_location, monkeypatch):
         calls = {"n": 0}
-        original = riskmod.risk_ya
+        original = riskmod.var_ya
 
-        def counting(law, measure, beta, spec=None):
+        def counting(law, beta, spec=None):
             calls["n"] += 1
-            return original(law, measure, beta, spec)
+            return original(law, beta, spec)
 
-        monkeypatch.setattr(riskmod, "risk_ya", counting)
+        monkeypatch.setattr(riskmod, "var_ya", counting)
         h(tm_location, 0.01, "var", 0.1)
         h(tm_location, 0.01, "var", 0.1)
         assert calls["n"] == 1
@@ -291,24 +291,25 @@ class TestTwoPoint:
 
     def test_cached_once(self, tm_location, monkeypatch):
         calls = {"var": 0, "cvar": 0}
-        orig_var, orig_cvar = riskmod.var_ya, riskmod.cvar_ya
+        orig_var, orig_tail = riskmod.var_ya, riskmod._cvar_tail
 
         def count_var(law, beta, spec=None):
             calls["var"] += 1
             return orig_var(law, beta, spec)
 
-        def count_cvar(law, beta, spec=None):
+        def count_tail(law, y, beta, spec):
             calls["cvar"] += 1
-            return orig_cvar(law, beta, spec)
+            return orig_tail(law, y, beta, spec)
 
         monkeypatch.setattr(riskmod, "var_ya", count_var)
-        monkeypatch.setattr(riskmod, "cvar_ya", count_cvar)
+        monkeypatch.setattr(riskmod, "_cvar_tail", count_tail)
         x = tm_location.x_from_weights(np.array([0.1, 0.4, 0.2, 0.1, 0.2]))
         portfolio_risk_two_point(tm_location, x, "var", 0.1)
         portfolio_risk_two_point(tm_location, x, "cvar", 0.1)
-        # two endpoint laws per measure (var_ya is also hit inside cvar_ya)
+        # one VaR solve and one CVaR tail per endpoint law: the CVaR tails
+        # reuse the memoized endpoint VaRs
         assert calls["cvar"] == 2
-        assert calls["var"] == 4
+        assert calls["var"] == 2
         first_pass = dict(calls)
         for _ in range(3):
             portfolio_risk_two_point(tm_location, x, "var", 0.1)
