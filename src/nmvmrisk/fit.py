@@ -5,8 +5,8 @@ X = mu + gamma Z + sqrt(Z) A N with Z generalized inverse Gaussian:
 the E-step computes the conditional moments E[Z | x], E[1/Z | x] (and
 E[log Z | x] when the index parameter is free) from the conjugate posterior,
 one CM cycle updates (mu, gamma, Sigma) in closed form, and a second CM cycle
-improves the mixing parameters numerically. The observed-data log-likelihood
-is evaluated in closed form after every iteration and never decreases.
+improves the mixing parameters numerically. The E-step kernel that ends each
+iteration also gives its closed-form log-likelihood, which never decreases.
 """
 
 from __future__ import annotations
@@ -198,10 +198,6 @@ def summarize(rm: ReturnsMatrix) -> dict[str, dict[str, float]]:
 # MCECM fitting
 # ---------------------------------------------------------------------------
 
-def _kve_ratio(order_num, order_den, z):
-    return _sspec.kve(order_num, z) / _sspec.kve(order_den, z)
-
-
 def _dlog_k_dnu(nu: float, z, eps: float = 1e-5):
     return (np.log(_sspec.kve(nu + eps, z)) - np.log(_sspec.kve(nu - eps, z))) \
         / (2.0 * eps)
@@ -218,27 +214,28 @@ def _whiten(x, mu, gamma, sigma):
 
 
 def _estep(x, mu, gamma, sigma, lam, chi, psi, need_log: bool):
-    """Posterior moments of Z given each observation.
-
-    The conditional law of Z is GIG(lam - n/2, chi + Q_i, psi + rho) with
-    Q_i the Mahalanobis distance of x_i and rho = gamma^T Sigma^{-1} gamma.
-    """
+    """GH kernel at one parameter set: E[Z | x_i], E[1/Z | x_i], E[log Z | x_i]
+    (None unless need_log) and the log-likelihood, from one whitening and one
+    evaluation each of K_{p-1}, K_p and K_{p+1}. Z | x_i is GIG(p = lam - n/2,
+    chi + Q_i, psi + rho) with Q_i the Mahalanobis distance of x_i and rho =
+    gamma^T Sigma^{-1} gamma."""
     t, n = x.shape
-    _, q, rho = _whiten(x, mu, gamma, sigma)
+    chol, q, rho = _whiten(x, mu, gamma, sigma)
     p = lam - 0.5 * n
     chi_i = chi + q
     psi_bar = psi + rho
     z = np.sqrt(chi_i * psi_bar)
     ratio = np.sqrt(chi_i / psi_bar)
-    delta = ratio * _kve_ratio(p + 1.0, p, z)
-    eta = _kve_ratio(p - 1.0, p, z) / ratio
+    k_p = _sspec.kve(p, z)
+    delta = ratio * (_sspec.kve(p + 1.0, z) / k_p)
+    eta = (_sspec.kve(p - 1.0, z) / k_p) / ratio
     if not (np.all(np.isfinite(delta)) and np.all(np.isfinite(eta))):
         bad = int(np.flatnonzero(~(np.isfinite(delta) & np.isfinite(eta)))[0])
         raise EMError(f"Bessel overflow in E-step at observation {bad}")
-    xi = None
-    if need_log:
-        xi = 0.5 * (np.log(chi_i) - np.log(psi_bar)) + _dlog_k_dnu(p, z)
-    return delta, eta, xi, q, rho
+    xi = (0.5 * (np.log(chi_i) - np.log(psi_bar)) + _dlog_k_dnu(p, z)
+          if need_log else None)
+    return delta, eta, xi, _log_likelihood(x, mu, gamma, sigma, lam, chi, psi,
+                                           chol, psi_bar, z, k_p)
 
 
 def _gig_q2(lam, chi, psi, t, sum_delta, sum_eta, sum_xi):
@@ -249,20 +246,18 @@ def _gig_q2(lam, chi, psi, t, sum_delta, sum_eta, sum_xi):
     return val - 0.5 * (chi * sum_eta + psi * sum_delta)
 
 
-def _log_likelihood(x, mu, gamma, sigma, lam, chi, psi):
+def _log_likelihood(x, mu, gamma, sigma, lam, chi, psi, chol, psi_rho, z, k_p):
+    """GH log-likelihood of the rows of x from _estep's Cholesky factor of
+    sigma, psi + rho, z_i = sqrt((chi + Q_i)(psi + rho)) and K_p(z_i)."""
     t, n = x.shape
-    chol, q, rho = _whiten(x, mu, gamma, sigma)
     log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
     skew_term = (x - mu) @ np.linalg.solve(sigma, gamma)
-    psi_rho = psi + rho
-    arg = np.sqrt((chi + q) * psi_rho)
-    order = lam - 0.5 * n
-    log_k = np.log(_sspec.kve(order, arg)) - arg
+    log_k = np.log(k_p) - z
     # the GIG constant carries a 1/2 that the GH density does not
     const = (gig_log_norm(lam, chi, psi) + math.log(2.0)
              + (0.5 * n - lam) * math.log(psi_rho)
              - 0.5 * n * math.log(2.0 * math.pi) - 0.5 * log_det)
-    ll = const + log_k + skew_term - (0.5 * n - lam) * np.log(arg)
+    ll = const + log_k + skew_term - (0.5 * n - lam) * np.log(z)
     return float(np.sum(ll))
 
 
@@ -300,11 +295,11 @@ def mcecm_fit(rm: ReturnsMatrix, cfg: FitConfig | None = None,
     Initialization: mu = sample mean (when included), gamma = 0, Sigma =
     sample covariance, mixing GIG(lambda_value, 1, 1); passing a model as
     `initial` warm-starts from its parameters instead (its mixing must be
-    GIG). Iterates until the log-likelihood gain drops below ll_tol or
-    max_iters is reached; the returned trace is non-decreasing. With
-    identification="unit_ez" the fitted mixing law is rescaled to unit mean
-    with the compensating rescale of gamma and Sigma, which leaves the law
-    of X unchanged.
+    GIG with chi > 0 and psi > 0). Iterates until the log-likelihood gain
+    drops below ll_tol or max_iters is reached; the returned trace is
+    non-decreasing. With identification="unit_ez" the fitted mixing law is
+    rescaled to unit mean with the compensating rescale of gamma and Sigma,
+    which leaves the law of X unchanged.
     """
     cfg = cfg or FitConfig()
     x = np.asarray(rm.values, dtype=float)
@@ -315,29 +310,30 @@ def mcecm_fit(rm: ReturnsMatrix, cfg: FitConfig | None = None,
     include_mu = cfg.include_mu
     lambda_free = cfg.lambda_mode == "free"
     if initial is not None:
-        if not isinstance(initial.mixing, Gig):
-            raise ValueError("warm start requires a GIG mixing law")
+        mix = initial.mixing
+        if not (isinstance(mix, Gig) and mix.chi > 0.0 and mix.psi > 0.0):
+            raise ValueError("warm start requires a GIG mixing law with "
+                             "chi > 0 and psi > 0")
         if initial.n != n:
             raise ValueError("warm-start model dimension mismatch")
         mu = initial.mu.copy() if include_mu else np.zeros(n)
         gamma = initial.gamma.copy()
         sigma = initial.sigma.copy()
-        lam, chi, psi = (initial.mixing.lam, initial.mixing.chi,
-                         initial.mixing.psi)
+        lam, chi, psi = mix.lam, mix.chi, mix.psi
     else:
         mu = x.mean(axis=0) if include_mu else np.zeros(n)
         sigma = np.atleast_2d(np.cov(x, rowvar=False, ddof=1))
         gamma = np.zeros(n)
         lam, chi, psi = cfg.lambda_value, 1.0, 1.0
 
+    delta, eta, _, _ = _estep(x, mu, gamma, sigma, lam, chi, psi,
+                              need_log=False)
     trace: list[float] = []
     converged = False
     iterations = 0
     for it in range(cfg.max_iters):
         iterations = it + 1
         # cycle 1: location, skewness, dispersion
-        delta, eta, _, _, _ = _estep(x, mu, gamma, sigma, lam, chi, psi,
-                                     need_log=False)
         delta_bar, eta_bar = float(delta.mean()), float(eta.mean())
         if include_mu:
             denom = delta_bar * eta_bar - 1.0
@@ -359,13 +355,15 @@ def mcecm_fit(rm: ReturnsMatrix, cfg: FitConfig | None = None,
                 f"dispersion update lost positive definiteness at iteration "
                 f"{it} (eigenvalue {eigvals[0]:.3e})")
         # cycle 2: mixing parameters
-        delta, eta, xi, _, _ = _estep(x, mu, gamma, sigma, lam, chi, psi,
-                                      need_log=lambda_free)
+        delta, eta, xi, _ = _estep(x, mu, gamma, sigma, lam, chi, psi,
+                                   need_log=lambda_free)
         sums = (float(delta.sum()), float(eta.sum()),
                 float(xi.sum()) if xi is not None else None)
         lam, chi, psi = _update_mixing(lam, chi, psi, t, sums, lambda_free)
 
-        ll = _log_likelihood(x, mu, gamma, sigma, lam, chi, psi)
+        # this kernel gives the iteration's ll and the next cycle-1 weights
+        delta, eta, _, ll = _estep(x, mu, gamma, sigma, lam, chi, psi,
+                                   need_log=False)
         trace.append(ll)
         if it > 0 and abs(ll - trace[-2]) < cfg.ll_tol:
             converged = True

@@ -85,6 +85,9 @@ def log_bessel_k(order, x):
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
         raise ValueError("log_bessel_k requires x > 0")
+    # scipy's kve is nan at subnormal orders; K is even in the order, so
+    # K_0 is exact there
+    order = np.where(np.abs(order) < np.finfo(float).tiny, 0.0, order)
     return np.log(_sspec.kve(order, x)) - x
 
 

@@ -15,12 +15,12 @@ chi = 0 are the inverse-gamma and gamma limits.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from scipy import special as _sspec
-from scipy import stats as _sstats
 
 from .mathkit import QuadratureSpec, integrate_semi_infinite, log_bessel_k
 
@@ -94,8 +94,11 @@ def gig_log_norm(lam: float, chi: float, psi: float) -> float:
     """log of the GIG(lam, chi, psi) density's normalizing constant
     (psi/chi)^(lam/2) / (2 K_lam(sqrt(chi psi))), for chi, psi > 0."""
     z = math.sqrt(chi * psi)
+    # scipy's kve is nan at subnormal orders; K is even in the order, so
+    # K_0 is exact there
+    k = float(_sspec.kve(lam if abs(lam) >= sys.float_info.min else 0.0, z))
     return (0.5 * lam * (math.log(psi) - math.log(chi)) - math.log(2.0)
-            - (math.log(float(_sspec.kve(lam, z))) - z))
+            - (math.log(k) - z))
 
 
 @dataclass(frozen=True)
@@ -172,7 +175,9 @@ class Gig(MixingLaw):
         self._check_count(n)
         lam, chi, psi = self.lam, self.chi, self.psi
         if chi > 0.0 and psi > 0.0:
-            return _sstats.geninvgauss.rvs(
+            # imported here: scipy.stats alone costs ~0.4 s of package import
+            from scipy.stats import geninvgauss
+            return geninvgauss.rvs(
                 lam, math.sqrt(chi * psi), scale=math.sqrt(chi / psi),
                 size=n, random_state=rng)
         if chi == 0.0:

@@ -3,6 +3,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 from pathlib import Path
 
@@ -258,3 +261,15 @@ class TestArgumentHandling:
                            "--weights", "1", "--measure", "var",
                            "--beta", "0.1")
         assert code == EXIT_INPUT
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is ~0.4 s of every CLI start and only Gig.sample needs it
+    src = str(Path(nr.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, nmvmrisk.cli; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nmvmrisk as nr
+from nmvmrisk import fit as fitmod
 from nmvmrisk.fit import (FitConfig, ModelFileError, PriceFileError,
-                          ReturnsMatrix, _estep, _log_likelihood, load_model,
-                          load_prices, mcecm_fit, save_model, summarize)
+                          ReturnsMatrix, _estep, load_model, load_prices,
+                          mcecm_fit, save_model, summarize)
+from nmvmrisk.mathkit import QuadratureSpec
 from nmvmrisk.mixing import Degenerate, Gig, InverseGaussian
 
 
@@ -205,9 +209,9 @@ class TestMcecm:
     def test_ascent_from_truth(self):
         rm = synthetic_returns(4000, seed=7)
         truth = synthetic_model()
-        ll_truth = _log_likelihood(rm.values, truth.mu, truth.gamma,
-                                   truth.sigma, truth.mixing.lam,
-                                   truth.mixing.chi, truth.mixing.psi)
+        *_, ll_truth = _estep(rm.values, truth.mu, truth.gamma, truth.sigma,
+                              truth.mixing.lam, truth.mixing.chi,
+                              truth.mixing.psi, need_log=False)
         result = mcecm_fit(rm, FitConfig(max_iters=2), initial=truth)
         assert result.log_likelihood_trace[0] >= ll_truth - 1e-8
         assert result.log_likelihood_trace[1] >= \
@@ -222,11 +226,46 @@ class TestMcecm:
     def test_estep_weights_satisfy_cauchy_schwarz(self):
         rm = synthetic_returns(500, seed=13)
         truth = synthetic_model()
-        delta, eta, _, _, _ = _estep(rm.values, truth.mu, truth.gamma,
-                                     truth.sigma, truth.mixing.lam,
-                                     truth.mixing.chi, truth.mixing.psi,
-                                     need_log=False)
+        delta, eta, _, _ = _estep(rm.values, truth.mu, truth.gamma,
+                                  truth.sigma, truth.mixing.lam,
+                                  truth.mixing.chi, truth.mixing.psi,
+                                  need_log=False)
         assert np.all(delta * eta >= 1.0 - 1e-12)
+
+    @pytest.mark.parametrize("lambda_mode,kve_calls",
+                             [("fixed", 33), ("free", 43)])
+    def test_shared_work_done_once(self, monkeypatch, lambda_mode,
+                                   kve_calls):
+        # one kernel before the loop, then per iteration the cycle-2 kernel
+        # and the kernel at the new parameters: 3 Bessel orders each, plus
+        # the 2 E[log Z] orders in cycle 2 when lambda is free
+        rm = synthetic_returns(400, seed=5)
+        counts = {"kve": 0, "whiten": 0}
+        kve, whiten = fitmod._sspec.kve, fitmod._whiten
+
+        def counting_kve(order, z):
+            counts["kve"] += np.size(z) == rm.t
+            return kve(order, z)
+
+        def counting_whiten(*args):
+            counts["whiten"] += 1
+            return whiten(*args)
+
+        monkeypatch.setattr(fitmod._sspec, "kve", counting_kve)
+        monkeypatch.setattr(fitmod, "_whiten", counting_whiten)
+        result = mcecm_fit(rm, FitConfig(max_iters=5, ll_tol=1e-300,
+                                         lambda_mode=lambda_mode))
+        assert result.iterations == 5
+        assert counts == {"kve": kve_calls, "whiten": 11}
+
+    @pytest.mark.parametrize("mixing", [Gig(-2.0, 2.0, 0.0),
+                                        Gig(2.0, 0.0, 1.0)])
+    def test_warm_start_needs_interior_gig(self, mixing):
+        rm = synthetic_returns(400, seed=5)
+        initial = nr.NmvmModel(mu=SYNTH_MU, gamma=SYNTH_GAMMA,
+                               sigma=SYNTH_SIGMA, mixing=mixing)
+        with pytest.raises(ValueError, match="chi > 0 and psi > 0"):
+            mcecm_fit(rm, FitConfig(max_iters=1), initial=initial)
 
     def test_unit_ez_identification(self):
         rm = synthetic_returns(2000, seed=17)
@@ -277,6 +316,37 @@ class TestMcecm:
         se_mean = x.std(axis=0, ddof=1) / math.sqrt(rm.t)
         truth_mean = SYNTH_MU + SYNTH_GAMMA * SYNTH_MIXING.moments().ez
         assert np.all(np.abs(implied_mean - truth_mean) <= 4.0 * se_mean)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@given(lam=st.floats(-3.0, 3.0), chi=st.floats(0.1, 5.0),
+       psi=st.floats(0.1, 5.0))
+@settings(max_examples=50, deadline=None)
+def test_log_likelihood_is_the_mixture_density(n, lam, chi, psi):
+    # sum_i log E_Z[N(x_i; mu + gamma Z, Z Sigma)], by quadrature over the
+    # GIG density, against the closed form the E-step kernel returns; the
+    # absolute floor covers sums near 0 (quadrature error stays below 1e-12)
+    mu, gamma, sigma = SYNTH_MU[:n], SYNTH_GAMMA[:n], SYNTH_SIGMA[:n, :n]
+    x = synthetic_returns(6, seed=3).values[:, :n]
+    mixing = Gig(lam, chi, psi)
+    chol = np.linalg.cholesky(sigma)
+    half_log_det = float(np.sum(np.log(np.diag(chol))))
+    spec = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-12,
+                          max_subdivisions=2000)
+
+    def normal_density(row):
+        def f(s):
+            resid = row - mu - np.multiply.outer(s, gamma)
+            white = np.linalg.solve(chol, resid.T)
+            q = np.sum(white * white, axis=0)
+            return np.exp(-0.5 * q / s - 0.5 * n * np.log(2.0 * math.pi * s)
+                          - half_log_det)
+        return f
+
+    expected = sum(math.log(mixing.expect(normal_density(row), spec))
+                   for row in x)
+    *_, ll = _estep(x, mu, gamma, sigma, lam, chi, psi, need_log=False)
+    assert ll == pytest.approx(expected, rel=1e-9, abs=1e-11)
 
 
 class TestFitConfig:

@@ -42,6 +42,10 @@ class TestBesselK:
         assert bessel_k(order, x) == pytest.approx(bessel_k(-order, x),
                                                    rel=1e-10)
 
+    @pytest.mark.parametrize("order", [5e-324, -1e-310])
+    def test_subnormal_order_is_order_zero(self, order):
+        assert log_bessel_k(order, 1.0) == log_bessel_k(0.0, 1.0)
+
     def test_recurrence_at_three_halves(self):
         # K_{3/2}(x) = (1/x) K_{1/2}(x) + K_{-1/2}(x)
         x = 1.5

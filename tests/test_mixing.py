@@ -108,6 +108,14 @@ class TestMoments:
             assert getattr(gig, field) == pytest.approx(
                 getattr(ig, field), rel=1e-12), field
 
+    @pytest.mark.parametrize("lam", [5e-324, 1e-310, -1e-310])
+    def test_gig_subnormal_index_is_index_zero(self, lam):
+        # scipy's kve is nan at subnormal orders; K is flat in the order at 0
+        law, zero = Gig(lam, 1.3, 0.7), Gig(0.0, 1.3, 0.7)
+        assert law.moments() == zero.moments()
+        w = np.array([0.3, 1.0, 4.0])
+        assert np.array_equal(law.density(w), zero.density(w))
+
     def test_degenerate_moments(self):
         mm = Degenerate().moments()
         assert (mm.ez, mm.var, mm.m3, mm.m4) == (1.0, 0.0, 0.0, 0.0)
