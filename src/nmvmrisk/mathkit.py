@@ -28,7 +28,8 @@ __all__ = [
 
 
 class QuadratureError(ArithmeticError):
-    """Adaptive quadrature exhausted its subdivision budget.
+    """Adaptive quadrature exhausted its subdivision budget, or met a
+    non-finite integrand value.
 
     Carries the best available estimate and its error bound so callers can
     inspect how far off the result may be.
@@ -131,13 +132,15 @@ def _eval_panel(g: Callable, lo: float, hi: float):
     half = 0.5 * (hi - lo)
     t = lo + half * (_GK_NODES + 1.0)
     y = g(t)
+    if not np.isfinite(y).all():
+        raise QuadratureError(f"integrand is not finite on the panel t in "
+                              f"[{lo}, {hi}], s = t/(1-t)", np.nan, np.inf)
     val_k = half * float(_GK_WEIGHTS_K @ y)
     val_g = half * float(_GK_WEIGHTS_G @ y)
     return val_k, abs(val_k - val_g)
 
 
-def integrate_semi_infinite(f: Callable, spec: QuadratureSpec | None = None,
-                            full_output: bool = False):
+def integrate_semi_infinite(f: Callable, spec: QuadratureSpec | None = None):
     """Integrate f over (0, inf) to the tolerances in spec.
 
     Uses the substitution s = t/(1-t) mapping (0, inf) onto (0, 1), then
@@ -146,10 +149,9 @@ def integrate_semi_infinite(f: Callable, spec: QuadratureSpec | None = None,
     tolerance. The integrand should accept numpy arrays; plain scalar
     callables are detected and wrapped.
 
-    With full_output=True returns (value, error_bound, n_panels).
-
     Raises QuadratureError (carrying the best estimate and bound) if the
-    subdivision budget is exhausted first.
+    subdivision budget is exhausted first, and at the first panel where the
+    integrand is not finite.
     """
     spec = spec or DEFAULT_QUADRATURE
     fv = _as_vectorized(f)
@@ -184,9 +186,6 @@ def integrate_semi_infinite(f: Callable, spec: QuadratureSpec | None = None,
         for a_, b_ in ((lo, mid), (mid, hi)):
             val, err = _eval_panel(g, a_, b_)
             panels.append((err, a_, b_, val))
-
-    if full_output:
-        return total, bound, len(panels)
     return total
 
 
@@ -219,10 +218,7 @@ def find_root(f: Callable[[float], float], bracket: RootBracket) -> float:
             f"no sign change on [{bracket.lo}, {bracket.hi}]: "
             f"f(lo)={f_lo:.6e}, f(hi)={f_hi:.6e}")
     try:
-        root, info = _sopt.brentq(f, bracket.lo, bracket.hi, xtol=bracket.tol,
-                                  maxiter=200, full_output=True)
+        return float(_sopt.brentq(f, bracket.lo, bracket.hi,
+                                  xtol=bracket.tol, maxiter=200))
     except RuntimeError as exc:  # scipy signals non-convergence this way
         raise ArithmeticError(f"root finding failed to converge: {exc}") from exc
-    if not info.converged:
-        raise ArithmeticError("root finding failed to converge")
-    return float(root)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Callable
 
 import numpy as np
@@ -73,6 +73,11 @@ class MixingLaw:
         """Density at w (vectorized); zero for w <= 0."""
         raise NotImplementedError
 
+    def __post_init__(self):
+        # nan fails every domain comparison a subclass makes; reject it here
+        if not np.isfinite(astuple(self)).all():
+            raise ValueError(f"parameters must be finite: {self!r}")
+
     def moments(self) -> MixingMoments:
         raise NotImplementedError
 
@@ -110,6 +115,7 @@ class Gig(MixingLaw):
     psi: float
 
     def __post_init__(self):
+        super().__post_init__()
         lam, chi, psi = self.lam, self.chi, self.psi
         if chi < 0.0 or psi < 0.0:
             raise ValueError(f"GIG requires chi, psi >= 0, got ({chi}, {psi})")
@@ -193,6 +199,7 @@ class Gamma(MixingLaw):
     rate: float
 
     def __post_init__(self):
+        super().__post_init__()
         if self.shape <= 0.0 or self.rate <= 0.0:
             raise ValueError(
                 f"Gamma requires shape, rate > 0, got ({self.shape}, {self.rate})")
@@ -244,6 +251,7 @@ class InverseGaussian(MixingLaw):
     gamma_ig: float
 
     def __post_init__(self):
+        super().__post_init__()
         if self.delta <= 0.0 or self.gamma_ig <= 0.0:
             raise ValueError(
                 f"InverseGaussian requires delta, gamma_ig > 0, "

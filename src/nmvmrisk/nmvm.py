@@ -57,6 +57,8 @@ class NmvmModel:
         mu = _as_vector(self.mu, "mu")
         gamma = _as_vector(self.gamma, "gamma")
         sigma = np.array(self.sigma, dtype=float, copy=True)
+        if not all(np.isfinite(v).all() for v in (mu, gamma, sigma)):
+            raise ValueError("mu, gamma and sigma must be finite")
         n = mu.shape[0]
         if gamma.shape[0] != n or sigma.shape != (n, n):
             raise ValueError(
@@ -191,8 +193,8 @@ def project(model: NmvmModel, weights: np.ndarray) -> UnivariateMixture:
     if omega.shape != (model.n,):
         raise ValueError(
             f"weights must have shape ({model.n},), got {omega.shape}")
-    if not np.any(omega):
-        raise ValueError("weights must be nonzero")
+    if not (np.isfinite(omega).all() and np.any(omega)):
+        raise ValueError("weights must be finite and nonzero")
     return UnivariateMixture(
         loc=float(omega @ model.mu),
         skew_coef=float(omega @ model.gamma),

@@ -166,15 +166,11 @@ def var_ya(law: YaLaw, beta: float, spec: QuadratureSpec | None = None) -> float
 
 def _var_solve(law: YaLaw, beta: float,
                spec: QuadratureSpec | None) -> tuple[float, int]:
-    """var_ya's root and the number of mixture quadratures it took."""
+    """var_ya's root and its number of mixture quadratures, one per distinct
+    abscissa: the objective keeps each value it computes for this solve."""
     mm = law.mixing.moments()
     width = abs(law.a) * mm.ez + 10.0 * math.sqrt(mm.ez)
-    calls = 0
-
-    def objective(y: float) -> float:
-        nonlocal calls
-        calls += 1
-        return cdf_ya(law, -y, spec) - beta
+    objective = functools.cache(lambda y: cdf_ya(law, -y, spec) - beta)
 
     lo, hi = -width, width
     f_lo, f_hi = objective(lo), objective(hi)
@@ -191,7 +187,8 @@ def _var_solve(law: YaLaw, beta: float,
     else:
         raise ArithmeticError(
             f"could not bracket the {beta}-quantile of Y_a (a={law.a})")
-    return find_root(objective, RootBracket(lo, hi, tol=1e-12)), calls
+    return (find_root(objective, RootBracket(lo, hi, tol=1e-12)),
+            objective.cache_info().currsize)
 
 
 def cvar_ya(law: YaLaw, beta: float, spec: QuadratureSpec | None = None) -> float:
@@ -262,17 +259,25 @@ def h(tm: TransformedModel, a: float, measure: str, beta: float,
                         spec or DEFAULT_QUADRATURE)
 
 
-def portfolio_risk_exact(tm: TransformedModel, x: np.ndarray, measure: str,
-                         beta: float,
-                         spec: QuadratureSpec | None = None) -> RiskResult:
-    """-x^T mu0 + ||x|| risk(Y_a) with a = ||gamma0|| cos(x, gamma0)."""
+def _portfolio(tm: TransformedModel, x: np.ndarray, measure: str,
+               beta: float) -> tuple[float, float, float]:
+    """(-x^T mu0, ||x||, cos(x, gamma0)) of a finite nonzero x, once the
+    measure and the level are checked."""
     _check_measure(measure)
     _check_beta(beta)
     x = np.asarray(x, dtype=float)
     norm = float(np.linalg.norm(x))
-    if norm == 0.0:
-        raise ValueError("x must be nonzero")
-    cos_theta = tm.cos_angle(x)
+    if not 0.0 < norm < math.inf:
+        raise ValueError(f"x must be finite and nonzero, got ||x|| = {norm}")
+    return -float(x @ tm.mu0), norm, tm.cos_angle(x)
+
+
+def portfolio_risk_exact(tm: TransformedModel, x: np.ndarray, measure: str,
+                         beta: float,
+                         spec: QuadratureSpec | None = None) -> RiskResult:
+    """-x^T mu0 + ||x|| risk(Y_a) with a = ||gamma0|| cos(x, gamma0); its
+    quadrature_evaluations are the VaR solve's distinct abscissae (+1 CVaR)."""
+    loc, norm, cos_theta = _portfolio(tm, x, measure, beta)
     a = tm.gamma0_norm * cos_theta
     law = YaLaw(a, tm.mixing)
     tail, evaluations = _var_solve(law, beta, spec)
@@ -280,8 +285,8 @@ def portfolio_risk_exact(tm: TransformedModel, x: np.ndarray, measure: str,
         tail = _cvar_tail(law, tail, beta, spec)
         evaluations += 1
     used = spec or DEFAULT_QUADRATURE
-    value = -float(x @ tm.mu0) + norm * tail
-    return RiskResult(value=value, method="exact_quadrature", beta=beta,
+    return RiskResult(value=loc + norm * tail, method="exact_quadrature",
+                      beta=beta,
                       diagnostics={"a": a, "cos_theta": cos_theta,
                                    "scalar_risk": tail,
                                    "quadrature_evaluations": evaluations,
@@ -312,33 +317,25 @@ def two_point_coefficients(tm: TransformedModel, beta: float,
 
 def portfolio_risk_two_point(tm: TransformedModel, x: np.ndarray, measure: str,
                              beta: float,
-                             coeffs: TwoPointCoefficients | None = None,
                              spec: QuadratureSpec | None = None) -> RiskResult:
-    """Closed-form chord approximation; exact at cos(x, gamma0) = +-1.
+    """Chord through the memoized two_point_coefficients; exact at
+    cos(x, gamma0) = +-1.
 
     gamma0 = 0 degenerates the chord interval, so that case routes to the
     single elliptical evaluation risk(Y_0), which is exact.
     """
-    _check_measure(measure)
-    _check_beta(beta)
-    x = np.asarray(x, dtype=float)
-    norm = float(np.linalg.norm(x))
-    if norm == 0.0:
-        raise ValueError("x must be nonzero")
+    loc, norm, cos_theta = _portfolio(tm, x, measure, beta)
     if tm.gamma0_norm == 0.0:
         tail = h(tm, 0.0, measure, beta, spec)
-        value = -float(x @ tm.mu0) + norm * tail
-        return RiskResult(value=value, method="two_point", beta=beta,
-                          diagnostics={"cos_theta": 0.0, "elliptical": True})
-    if coeffs is None:
-        coeffs = two_point_coefficients(tm, beta, spec)
-    cos_theta = tm.cos_angle(x)
+        return RiskResult(value=loc + norm * tail, method="two_point",
+                          beta=beta, diagnostics={"cos_theta": cos_theta,
+                                                  "elliptical": True})
+    coeffs = two_point_coefficients(tm, beta, spec)
     if measure == "var":
         tail = coeffs.w_plus + coeffs.w_minus * cos_theta
     else:
         tail = coeffs.v_plus + coeffs.v_minus * cos_theta
-    value = -float(x @ tm.mu0) + norm * tail
-    return RiskResult(value=value, method="two_point", beta=beta,
+    return RiskResult(value=loc + norm * tail, method="two_point", beta=beta,
                       diagnostics={"cos_theta": cos_theta})
 
 
@@ -353,20 +350,14 @@ def portfolio_risk_piecewise(tm: TransformedModel, x: np.ndarray, measure: str,
     between knots, which for the convex scalar risk is an upper chord on each
     cell and reduces to the two-point method on the partition {-b, b}.
     """
-    _check_measure(measure)
-    _check_beta(beta)
+    loc, norm, cos_theta = _portfolio(tm, x, measure, beta)
     if interpolation not in ("step", "linear"):
         raise ValueError(f"unknown interpolation: {interpolation!r}")
-    x = np.asarray(x, dtype=float)
-    norm = float(np.linalg.norm(x))
-    if norm == 0.0:
-        raise ValueError("x must be nonzero")
     b = tm.gamma0_norm
     if b == 0.0:
         tail = h(tm, 0.0, measure, beta, spec)
-        return RiskResult(value=-float(x @ tm.mu0) + norm * tail,
-                          method="piecewise", beta=beta,
-                          diagnostics={"elliptical": True})
+        return RiskResult(value=loc + norm * tail, method="piecewise",
+                          beta=beta, diagnostics={"elliptical": True})
     knots = np.asarray(partition, dtype=float)
     pad = 1e-12 * max(1.0, b)
     if knots.ndim != 1 or knots.size < 2 or np.any(np.diff(knots) < 0.0):
@@ -376,15 +367,14 @@ def portfolio_risk_piecewise(tm: TransformedModel, x: np.ndarray, measure: str,
         raise ValueError(
             f"partition must cover [-b, b] = [{-b}, {b}] exactly")
     values = np.array([h(tm, float(k), measure, beta, spec) for k in knots])
-    a = b * tm.cos_angle(x)
+    a = b * cos_theta
     if interpolation == "linear":
         tail = float(np.interp(a, knots, values))
     else:
         idx = int(np.searchsorted(knots, a, side="right")) - 1
         idx = min(max(idx, 0), knots.size - 2)
         tail = float(values[idx])
-    value = -float(x @ tm.mu0) + norm * tail
-    return RiskResult(value=value, method="piecewise", beta=beta,
+    return RiskResult(value=loc + norm * tail, method="piecewise", beta=beta,
                       diagnostics={"knots": knots.size,
                                    "interpolation": interpolation})
 

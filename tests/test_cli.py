@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -144,6 +145,28 @@ class TestRiskCommand:
                            "--measure", "var", "--beta", "0.1")
         assert code == EXIT_INPUT
         assert "weights" in err
+
+    @pytest.mark.parametrize("method, bad", [
+        ("exact", "nan"), ("two-point", "inf"), ("piecewise", "nan"),
+        ("mc", "inf")])
+    def test_non_finite_weights_exit_one(self, capsys, method, bad):
+        code, out, err = run(capsys, "risk", "--model", MODEL,
+                             "--weights", f"{bad},0.4,0.2,0.1,0.2",
+                             "--measure", "cvar", "--beta", "0.05",
+                             "--method", method, "--samples", "10000")
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err.startswith("error:") and "finite" in err
+
+    def test_non_finite_model_parameter_exits_one(self, tmp_path, capsys):
+        payload = json.loads(Path(MODEL).read_text(encoding="utf-8"))
+        payload["mixing"]["parameters"]["lambda"] = math.nan
+        path = tmp_path / "nan_model.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")  # writes NaN
+        code, out, err = run(capsys, "risk", "--model", str(path),
+                             "--weights", "0.1,0.4,0.2,0.1,0.2",
+                             "--measure", "var", "--beta", "0.1")
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err.startswith("error:") and "finite" in err
 
     def test_two_point_quadrature_amortized(self, capsys, monkeypatch):
         calls = {"n": 0}

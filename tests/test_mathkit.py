@@ -1,6 +1,7 @@
 """Tests for the special-function and quadrature primitives."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -131,6 +132,25 @@ class TestQuadrature:
         assert err.value.estimate == pytest.approx(math.sqrt(math.pi),
                                                    rel=1e-2)
         assert err.value.error_bound > 0.0
+
+    @pytest.mark.parametrize("f", [
+        lambda s: np.full_like(s, np.nan),
+        lambda s: np.where(s > 50.0, np.inf, np.exp(-s)),
+    ], ids=["nan", "inf_beyond_50"])
+    def test_non_finite_integrand_raises_in_seed_round(self, f):
+        sizes = []
+
+        def counted(s):
+            sizes.append(np.size(s))
+            return f(s)
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(QuadratureError, match="not finite"):
+                integrate_semi_infinite(counted)
+        assert not [w for w in caught if w.category is RuntimeWarning]
+        # the 2-point vectorization probe, then at most the 8 seed panels
+        assert sizes[0] == 2 and len(sizes) - 1 <= 8
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

@@ -76,6 +76,22 @@ class TestParameterValidation:
         with pytest.raises(ValueError):
             InverseGaussian(delta=-1.0, gamma_ig=1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("make", [
+        lambda v: Gig(lam=v, chi=1.0, psi=1.0),
+        lambda v: Gig(lam=-0.5, chi=v, psi=1.0),
+        lambda v: Gig(lam=-0.5, chi=1.0, psi=v),
+        lambda v: Gamma(shape=v, rate=1.0),
+        lambda v: Gamma(shape=1.0, rate=v),
+        lambda v: InverseGaussian(delta=v, gamma_ig=1.0),
+        lambda v: InverseGaussian(delta=1.0, gamma_ig=v),
+    ], ids=["gig_lam", "gig_chi", "gig_psi", "gamma_shape", "gamma_rate",
+            "ig_delta", "ig_gamma"])
+    def test_non_finite_parameters_rejected(self, make, value):
+        # nan fails every domain comparison, so it needs its own check
+        with pytest.raises(ValueError, match="finite"):
+            make(value)
+
 
 class TestMoments:
     def test_gamma_parametrized_family(self):

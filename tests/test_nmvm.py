@@ -41,6 +41,15 @@ class TestModelValidation:
             nr.NmvmModel(mu=[0.0, 0.0], gamma=[0.0, 0.0], sigma=sigma,
                          mixing=Degenerate())
 
+    @pytest.mark.parametrize("field", ["mu", "gamma", "sigma"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_rejected(self, field, value):
+        params = {"mu": np.zeros(2), "gamma": np.zeros(2), "sigma": np.eye(2)}
+        params[field] = params[field].copy()
+        params[field].flat[0] = value
+        with pytest.raises(ValueError, match="finite"):
+            nr.NmvmModel(mixing=Degenerate(), **params)
+
     def test_near_singular_rejected(self):
         sigma = np.diag([1.0, 1e-14])
         with pytest.raises(NotSpdError):
@@ -132,6 +141,11 @@ class TestProject:
     def test_dimension_mismatch(self, location_model):
         with pytest.raises(ValueError):
             project(location_model, np.ones(4))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_weights(self, location_model, value):
+        with pytest.raises(ValueError, match="finite"):
+            project(location_model, np.array([value, 0.4, 0.2, 0.1, 0.2]))
 
 
 class TestPortfolioMoments:

@@ -257,6 +257,26 @@ class TestPortfolioRiskExact:
             assert moved == pytest.approx(base - shift * omega.sum(),
                                           abs=1e-10)
 
+    @pytest.mark.parametrize("measure", ["var", "cvar"])
+    @pytest.mark.parametrize("beta", [0.1, 0.05, 0.01])
+    def test_each_abscissa_evaluated_once(self, tm_location, monkeypatch,
+                                          measure, beta):
+        # find_root's sign check and Brent's first two steps revisit the
+        # bracket ends; those must not cost a quadrature again
+        abscissae = []
+        orig = riskmod.cdf_ya
+
+        def counted(law, y, spec=None):
+            abscissae.append(y)
+            return orig(law, y, spec)
+
+        monkeypatch.setattr(riskmod, "cdf_ya", counted)
+        x = tm_location.x_from_weights(np.array([0.1, 0.4, 0.2, 0.1, 0.2]))
+        result = portfolio_risk_exact(tm_location, x, measure, beta)
+        assert len(abscissae) == len(set(abscissae))
+        assert result.diagnostics["quadrature_evaluations"] == \
+            len(abscissae) + (measure == "cvar")
+
     def test_positive_homogeneity(self, tm_location):
         x = tm_location.x_from_weights(np.array([0.1, 0.4, 0.2, 0.1, 0.2]))
         single = portfolio_risk_exact(tm_location, x, "cvar", 0.05)
@@ -267,6 +287,31 @@ class TestPortfolioRiskExact:
         assert doubled.value == pytest.approx(expected, abs=1e-10)
         assert doubled.diagnostics["a"] == pytest.approx(
             single.diagnostics["a"], abs=1e-14)
+
+
+PRICERS = {
+    "exact": portfolio_risk_exact,
+    "two_point": portfolio_risk_two_point,
+    "piecewise": lambda tm, x, measure, beta: portfolio_risk_piecewise(
+        tm, x, measure, beta,
+        np.linspace(-tm.gamma0_norm, tm.gamma0_norm, 5), "linear"),
+}
+X_GOOD = np.array([0.1, 0.4, 0.2, 0.1, 0.2])
+
+
+@pytest.mark.parametrize("pricer", PRICERS.values(), ids=list(PRICERS))
+@pytest.mark.parametrize("x, measure, beta", [
+    (np.zeros(5), "cvar", 0.05),
+    (np.array([np.nan, 0.4, 0.2, 0.1, 0.2]), "cvar", 0.05),
+    (np.array([np.inf, 0.4, 0.2, 0.1, 0.2]), "var", 0.05),
+    (X_GOOD, "es", 0.05),
+    (X_GOOD, "var", 0.0),
+    (X_GOOD, "cvar", 1.0),
+], ids=["zero_x", "nan_x", "inf_x", "measure_es", "beta_0", "beta_1"])
+def test_pricers_share_checked_preamble(tm_location, pricer, x, measure,
+                                        beta):
+    with pytest.raises(ValueError):
+        pricer(tm_location, x, measure, beta)
 
 
 class TestTwoPoint:
