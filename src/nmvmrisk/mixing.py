@@ -3,9 +3,10 @@
 A mixing law is a nonnegative random variable Z with a density on (0, inf)
 (except the degenerate point mass), closed-form moments, an expectation
 operator used by the risk quadratures, and a seeded sampler for Monte Carlo
-checks. The generalized inverse Gaussian family GIG(lam, chi, psi) covers the
-hyperbolic-type models; Gamma, inverse Gaussian, and exponential laws are the
-classical special cases.
+checks; each law defines its density for w > 0, which `expect` integrates
+directly. The generalized inverse Gaussian family GIG(lam, chi, psi) covers
+the hyperbolic-type models; Gamma, inverse Gaussian, and exponential laws are
+the classical special cases.
 
 GIG parameter domain: chi > 0, psi >= 0 when lam < 0; chi > 0, psi > 0 when
 lam = 0; chi >= 0, psi > 0 when lam > 0. The boundary cases psi = 0 and
@@ -17,6 +18,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import astuple, dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -70,7 +72,17 @@ class MixingLaw:
     """Common interface of the mixing distributions. Instances are immutable."""
 
     def density(self, w):
-        """Density at w (vectorized); zero for w <= 0."""
+        """Density at w (vectorized); zero for w <= 0; a float for scalar w."""
+        w = np.asarray(w, dtype=float)
+        out = np.zeros_like(w)
+        pos = w > 0.0
+        if np.any(pos):
+            with np.errstate(under="ignore"):
+                out[pos] = self._density_pos(w[pos])
+        return out if out.ndim else float(out)
+
+    def _density_pos(self, w: np.ndarray) -> np.ndarray:
+        """Density at an array of points w > 0."""
         raise NotImplementedError
 
     def __post_init__(self):
@@ -86,8 +98,11 @@ class MixingLaw:
         raise NotImplementedError
 
     def expect(self, f: Callable, spec: QuadratureSpec | None = None) -> float:
-        """E[f(Z)] by quadrature of f against the density."""
-        return integrate_semi_infinite(lambda s: f(s) * self.density(s), spec)
+        """E[f(Z)] by quadrature of f(s) times the density for s > 0 (the
+        nodes are all positive); f maps arrays elementwise."""
+        with np.errstate(under="ignore"):
+            return integrate_semi_infinite(
+                lambda s: f(s) * self._density_pos(s), spec)
 
     @staticmethod
     def _check_count(n: int):
@@ -99,11 +114,12 @@ def gig_log_norm(lam: float, chi: float, psi: float) -> float:
     """log of the GIG(lam, chi, psi) density's normalizing constant
     (psi/chi)^(lam/2) / (2 K_lam(sqrt(chi psi))), for chi, psi > 0."""
     z = math.sqrt(chi * psi)
-    # scipy's kve is nan at subnormal orders; K is even in the order, so
-    # K_0 is exact there
+    # scipy's kve is nan at subnormal orders (K is even in the order, so K_0
+    # is exact there) and overflows near chi = 0 or psi = 0, where
+    # log_bessel_k stays finite
     k = float(_sspec.kve(lam if abs(lam) >= sys.float_info.min else 0.0, z))
-    return (0.5 * lam * (math.log(psi) - math.log(chi)) - math.log(2.0)
-            - (math.log(k) - z))
+    log_k = math.log(k) - z if k < math.inf else float(log_bessel_k(lam, z))
+    return 0.5 * lam * (math.log(psi) - math.log(chi)) - math.log(2.0) - log_k
 
 
 @dataclass(frozen=True)
@@ -126,29 +142,22 @@ class Gig(MixingLaw):
         if lam > 0.0 and psi <= 0.0:
             raise ValueError("GIG with lam > 0 requires psi > 0")
 
-    def density(self, w):
-        w = np.asarray(w, dtype=float)
-        out = np.zeros_like(w)
-        pos = w > 0.0
-        if np.any(pos):
-            wp = w[pos]
-            with np.errstate(under="ignore"):
-                out[pos] = np.exp(self._log_density_pos(wp))
-        return out if out.ndim else float(out)
-
-    def _log_density_pos(self, w):
+    @cached_property
+    def _log_norm(self) -> float:
+        """log normalizing constant, computed once per instance."""
         lam, chi, psi = self.lam, self.chi, self.psi
         if chi > 0.0 and psi > 0.0:
-            return (gig_log_norm(lam, chi, psi) + (lam - 1.0) * np.log(w)
-                    - 0.5 * (chi / w + psi * w))
+            return gig_log_norm(lam, chi, psi)
         if chi == 0.0:  # Gamma(lam, psi/2)
-            rate = 0.5 * psi
-            return (lam * math.log(rate) - math.lgamma(lam)
-                    + (lam - 1.0) * np.log(w) - rate * w)
+            return lam * math.log(0.5 * psi) - math.lgamma(lam)
         # psi == 0: inverse gamma with shape -lam, scale chi/2
-        shape, scale = -self.lam, 0.5 * self.chi
-        return (shape * math.log(scale) - math.lgamma(shape)
-                + (self.lam - 1.0) * np.log(w) - scale / w)
+        return -lam * math.log(0.5 * chi) - math.lgamma(-lam)
+
+    def _density_pos(self, w):
+        # on the boundaries chi / w or psi * w is an exact zero, and halving
+        # rounds exactly, so one kernel serves all three branches
+        return np.exp(self._log_norm + (self.lam - 1.0) * np.log(w)
+                      - 0.5 * (self.chi / w + self.psi * w))
 
     def raw_moment(self, r: float) -> float:
         """E[Z^r]; raises MomentError when the moment is infinite."""
@@ -204,18 +213,9 @@ class Gamma(MixingLaw):
             raise ValueError(
                 f"Gamma requires shape, rate > 0, got ({self.shape}, {self.rate})")
 
-    def density(self, w):
-        w = np.asarray(w, dtype=float)
-        out = np.zeros_like(w)
-        pos = w > 0.0
-        if np.any(pos):
-            wp = w[pos]
-            with np.errstate(under="ignore"):
-                out[pos] = np.exp(self.shape * math.log(self.rate)
-                                  - math.lgamma(self.shape)
-                                  + (self.shape - 1.0) * np.log(wp)
-                                  - self.rate * wp)
-        return out if out.ndim else float(out)
+    def _density_pos(self, w):
+        return np.exp(self.shape * math.log(self.rate) - math.lgamma(self.shape)
+                      + (self.shape - 1.0) * np.log(w) - self.rate * w)
 
     def moments(self) -> MixingMoments:
         a, b = self.shape, self.rate
@@ -257,17 +257,10 @@ class InverseGaussian(MixingLaw):
                 f"InverseGaussian requires delta, gamma_ig > 0, "
                 f"got ({self.delta}, {self.gamma_ig})")
 
-    def density(self, w):
+    def _density_pos(self, w):
         d, g = self.delta, self.gamma_ig
-        w = np.asarray(w, dtype=float)
-        out = np.zeros_like(w)
-        pos = w > 0.0
-        if np.any(pos):
-            wp = w[pos]
-            with np.errstate(under="ignore"):
-                out[pos] = (d / math.sqrt(2.0 * math.pi) * np.exp(
-                    d * g - 1.5 * np.log(wp) - 0.5 * (d * d / wp + g * g * wp)))
-        return out if out.ndim else float(out)
+        return d / math.sqrt(2.0 * math.pi) * np.exp(
+            d * g - 1.5 * np.log(w) - 0.5 * (d * d / w + g * g * w))
 
     def moments(self) -> MixingMoments:
         d, g = self.delta, self.gamma_ig

@@ -10,6 +10,7 @@ solved by one SLSQP run with the return floor as a linear constraint.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -222,9 +223,12 @@ def solve_mean_risk_reduced(tm: TransformedModel, measure: str, beta: float,
         raise ArithmeticError("no feasible portfolio meets the return floor; "
                               "check k")
     if u_best.size:
-        best = objective(u_best)
+        # a memo for this solve: SLSQP's first evaluation is the anchor
+        scaled = functools.cache(lambda z: objective(np.array(z) * scale))
+        z0 = u_best / scale
+        best = scaled(tuple(z0))
         res = _sopt.minimize(
-            lambda z: objective(z * scale), u_best / scale, method="SLSQP",
+            lambda z: scaled(tuple(z)), z0, method="SLSQP",
             constraints=[{"type": "ineq",
                           "fun": lambda z: float(ret_row @ (z * scale)) - k,
                           "jac": lambda z: ret_row * scale}],

@@ -72,8 +72,17 @@ class TestBesselK:
         with pytest.raises(ValueError):
             log_bessel_k(0.5, -1.0)
 
-    def test_overflow_signals_inf(self):
-        assert log_bessel_k(80.0, 1e-6) == math.inf
+    def test_overflow_uses_small_argument_term(self):
+        # kve(80, 1e-6) overflows; log K_80(1e-6) by mpmath at 40 digits
+        assert log_bessel_k(80.0, 1e-6) == pytest.approx(1429.2905695523975,
+                                                         rel=1e-15)
+        # log K_3(1e-150), the GIG normalizer's argument at chi = 1e-300
+        assert log_bessel_k(3.0, 1e-150) == pytest.approx(1038.2427333890005,
+                                                          rel=1e-15)
+        # entries that do not overflow keep the kve route
+        both = log_bessel_k(80.0, np.array([1e-6, 1.0]))
+        assert both[0] == log_bessel_k(80.0, 1e-6)
+        assert both[1] == log_bessel_k(80.0, 1.0)
 
     def test_log_form_matches_for_large_argument(self):
         # direct kernel underflows near x ~ 800; the log form stays finite
@@ -117,13 +126,26 @@ class TestQuadrature:
         assert integrate_semi_infinite(law.density) == pytest.approx(1.0,
                                                                      abs=1e-8)
 
-    def test_scalar_only_callable(self):
-        def f(s):
-            if s < 0:  # comparisons force a scalar argument
-                return 0.0
-            return math.exp(-s)
+    def test_one_call_per_panel(self):
+        nodes = []
 
-        assert integrate_semi_infinite(f) == pytest.approx(1.0, abs=1e-10)
+        def f(s):
+            nodes.append(s.copy())
+            return np.exp(-s) / np.sqrt(s)
+
+        integrate_semi_infinite(f)
+        # no probe call: every call evaluates one distinct 15-node panel,
+        # the 8 seed panels and then both halves of each split
+        assert all(s.shape == (15,) for s in nodes)
+        assert len({s.tobytes() for s in nodes}) == len(nodes)
+        assert len(nodes) > 8 and len(nodes) % 2 == 0
+
+    @pytest.mark.parametrize("f", [lambda s: 0.5, lambda s: np.sum(s),
+                                   lambda s: np.exp(-s)[:-1]],
+                             ids=["constant", "sum", "short"])
+    def test_integrand_must_map_elementwise(self, f):
+        with pytest.raises(ValueError, match="elementwise"):
+            integrate_semi_infinite(f)
 
     def test_nonconvergence_carries_estimate(self):
         spec = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-14, max_subdivisions=9)
@@ -149,8 +171,8 @@ class TestQuadrature:
             with pytest.raises(QuadratureError, match="not finite"):
                 integrate_semi_infinite(counted)
         assert not [w for w in caught if w.category is RuntimeWarning]
-        # the 2-point vectorization probe, then at most the 8 seed panels
-        assert sizes[0] == 2 and len(sizes) - 1 <= 8
+        # at most the 8 seed panels, 15 nodes each
+        assert len(sizes) <= 8 and set(sizes) == {15}
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nmvmrisk import mixing as mixmod
 from nmvmrisk.mathkit import QuadratureSpec, integrate_semi_infinite
 from nmvmrisk.mixing import (Degenerate, Exponential, Gamma, Gig,
                              InverseGaussian, MomentError, skew_condition)
+from nmvmrisk.risk import YaLaw, cdf_ya
 
 GIG_REF = Gig(lam=-0.5, chi=0.87953198, psi=0.645169932)
 
@@ -51,6 +53,19 @@ class TestDensity:
     def test_zero_outside_support(self, law):
         assert law.density(-1.0) == 0.0
         assert law.density(0.0) == 0.0
+
+    @given(lam=st.floats(0.1, 20.0), log10_eps=st.floats(-300.0, -200.0),
+           other=st.floats(0.1, 10.0), w=st.floats(0.05, 20.0))
+    @settings(max_examples=200, deadline=None)
+    def test_near_boundary_matches_boundary_law(self, lam, log10_eps, other,
+                                                w):
+        # K_lam(sqrt(chi psi)) overflows in the normalizer as chi or psi
+        # nears 0; the laws must tend to their Gamma and inverse-gamma limits
+        eps = 10.0 ** log10_eps
+        assert Gig(lam, eps, other).density(w) == pytest.approx(
+            Gig(lam, 0.0, other).density(w), rel=1e-10)
+        assert Gig(-lam, other, eps).density(w) == pytest.approx(
+            Gig(-lam, other, 0.0).density(w), rel=1e-10)
 
 
 class TestParameterValidation:
@@ -229,3 +244,35 @@ class TestExpectationOperator:
     def test_matches_moment(self):
         assert GIG_REF.expect(lambda s: s) == pytest.approx(
             GIG_REF.moments().ez, abs=1e-9)
+
+    @given(law=st.one_of(
+        st.builds(Gig, st.floats(-3.0, 3.0), st.floats(0.1, 5.0),
+                  st.floats(0.1, 5.0)),
+        st.builds(lambda lam, psi: Gig(lam, 0.0, psi), st.floats(0.5, 5.0),
+                  st.floats(0.1, 5.0)),
+        st.builds(lambda lam, chi: Gig(-lam, chi, 0.0), st.floats(0.5, 5.0),
+                  st.floats(0.1, 5.0)),
+        st.builds(Gamma, st.floats(0.5, 5.0), st.floats(0.1, 5.0)),
+        st.builds(InverseGaussian, st.floats(0.1, 5.0), st.floats(0.1, 5.0))),
+        k=st.floats(0.1, 3.0))
+    @settings(max_examples=100, deadline=None)
+    def test_is_quadrature_of_f_times_density(self, law, k):
+        def f(s):
+            return np.sqrt(s) * np.exp(-k * s)
+
+        assert law.expect(f) == integrate_semi_infinite(
+            lambda s: f(s) * law.density(s))
+
+    def test_gig_normalizer_computed_once_per_law(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return gig_log_norm(*args)
+
+        gig_log_norm = mixmod.gig_log_norm
+        monkeypatch.setattr(mixmod, "gig_log_norm", counted)
+        law = Gig(lam=-0.5, chi=1.1, psi=0.9)
+        cdf_ya(YaLaw(0.3, law), 0.2)
+        cdf_ya(YaLaw(-0.3, law), 1.5)
+        assert len(calls) == 1

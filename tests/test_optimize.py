@@ -7,6 +7,7 @@ import pytest
 from scipy import optimize as _sopt
 
 import nmvmrisk as nr
+from nmvmrisk import optimize as optmod
 from nmvmrisk.mixing import Gamma, Gig, InverseGaussian
 from nmvmrisk.nmvm import portfolio_moments, transform
 from nmvmrisk.optimize import (DegenerateConstraintsError, SingularGramError,
@@ -272,6 +273,20 @@ class TestMeanRiskReduced:
         c = np.linalg.solve(np.array([[mm, me], [me, ee]]), [k, 1.0])
         x_anchor = c[0] * tm.m + c[1] * tm.e_a
         assert got <= portfolio_risk_exact(tm, x_anchor, "cvar", 0.05).value
+
+    @pytest.mark.parametrize("measure", ["cvar", "var"])
+    def test_one_risk_solve_per_abscissa(self, tm_location, monkeypatch,
+                                         measure):
+        # SLSQP's first evaluation is the anchor that the fallback prices
+        seen = []
+
+        def counted(law, *args):
+            seen.append(law.a)
+            return risk_ya(law, *args)
+
+        monkeypatch.setattr(optmod, "risk_ya", counted)
+        solve_mean_risk_reduced(tm_location, measure, 0.05, k=0.001)
+        assert len(seen) == len(set(seen))
 
     def test_gram_spd_for_reference_model(self, tm_location):
         basis = np.column_stack([tm_location.mu0, tm_location.gamma0,
