@@ -82,10 +82,11 @@ DEFAULT_QUADRATURE = QuadratureSpec()
 def log_bessel_k(order, x):
     """log K_order(x), stable for large x via the exponentially scaled kernel.
 
-    Accepts scalars or arrays and broadcasts. Where kve overflows (small x),
-    the small-argument leading term lgamma(|nu|) - log 2 + |nu| log(2/x)
-    (Abramowitz & Stegun 9.6.9) is used; its relative error there is below
-    1e-14 for |nu| <= 50 and 1.6e-8 at |nu| = 100.
+    Accepts scalars or arrays and broadcasts. Where kve overflows and
+    x^2 < 4 eps (|nu| - 1), so that the next term of the small-argument
+    series is below double rounding, the leading term
+    lgamma(|nu|) - log 2 + |nu| log(2/x) (Abramowitz & Stegun 9.6.9) is
+    used; any other overflow gives +inf.
     """
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
@@ -94,12 +95,11 @@ def log_bessel_k(order, x):
     # K_0 is exact there
     order = np.where(np.abs(order) < np.finfo(float).tiny, 0.0, order)
     k = _sspec.kve(order, x)
-    over = np.isinf(k)
-    if not over.any():
-        return np.log(k) - x
     nu, log_2 = np.abs(order), np.log(2.0)
+    leading = np.isinf(k) & (
+        x < 2.0 * np.sqrt(np.finfo(float).eps * np.maximum(nu - 1.0, 0.0)))
     small = _sspec.gammaln(nu) - log_2 + nu * (log_2 - np.log(x))
-    return np.where(over, small, np.log(k) - x)
+    return np.where(leading, small, np.log(k) - x)
 
 
 def normal_cdf(x: float) -> float:

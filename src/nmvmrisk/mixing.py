@@ -116,7 +116,7 @@ def gig_log_norm(lam: float, chi: float, psi: float) -> float:
     z = math.sqrt(chi * psi)
     # scipy's kve is nan at subnormal orders (K is even in the order, so K_0
     # is exact there) and overflows near chi = 0 or psi = 0, where
-    # log_bessel_k stays finite
+    # log_bessel_k takes the small-argument term wherever that is exact
     k = float(_sspec.kve(lam if abs(lam) >= sys.float_info.min else 0.0, z))
     log_k = math.log(k) - z if k < math.inf else float(log_bessel_k(lam, z))
     return 0.5 * lam * (math.log(psi) - math.log(chi)) - math.log(2.0) - log_k

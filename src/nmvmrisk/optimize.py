@@ -217,7 +217,9 @@ def solve_mean_risk_reduced(tm: TransformedModel, measure: str, beta: float,
         x_anchor = c[0] * tm.m + c[1] * tm.e_a
     else:
         x_anchor = tm.e_a / ee
-    u_best = basis[:, :-1].T @ x_anchor
+    # the anchor as SLSQP sees it, so that the fallback is the point priced
+    z0 = basis[:, :-1].T @ x_anchor / scale
+    u_best = z0 * scale
     slack = 1e-12 * max(1.0, abs(k))
     if float(ret_row @ u_best) < k - slack:
         raise ArithmeticError("no feasible portfolio meets the return floor; "
@@ -225,7 +227,6 @@ def solve_mean_risk_reduced(tm: TransformedModel, measure: str, beta: float,
     if u_best.size:
         # a memo for this solve: SLSQP's first evaluation is the anchor
         scaled = functools.cache(lambda z: objective(np.array(z) * scale))
-        z0 = u_best / scale
         best = scaled(tuple(z0))
         res = _sopt.minimize(
             lambda z: scaled(tuple(z)), z0, method="SLSQP",

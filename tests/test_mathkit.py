@@ -72,17 +72,25 @@ class TestBesselK:
         with pytest.raises(ValueError):
             log_bessel_k(0.5, -1.0)
 
+    def test_overflow_signals_inf(self):
+        assert log_bessel_k(80.0, 1e-6) == math.inf
+
     def test_overflow_uses_small_argument_term(self):
-        # kve(80, 1e-6) overflows; log K_80(1e-6) by mpmath at 40 digits
-        assert log_bessel_k(80.0, 1e-6) == pytest.approx(1429.2905695523975,
-                                                         rel=1e-15)
+        # kve overflows at both; log K by mpmath at 40 digits
+        assert log_bessel_k(80.0, 1e-10) == pytest.approx(2166.117799310492,
+                                                          rel=1e-15)
         # log K_3(1e-150), the GIG normalizer's argument at chi = 1e-300
-        assert log_bessel_k(3.0, 1e-150) == pytest.approx(1038.2427333890005,
+        assert log_bessel_k(3.0, 1e-150) == pytest.approx(1038.2427333890004,
                                                           rel=1e-15)
         # entries that do not overflow keep the kve route
-        both = log_bessel_k(80.0, np.array([1e-6, 1.0]))
-        assert both[0] == log_bessel_k(80.0, 1e-6)
+        both = log_bessel_k(80.0, np.array([1e-10, 1.0]))
+        assert both[0] == log_bessel_k(80.0, 1e-10)
         assert both[1] == log_bessel_k(80.0, 1.0)
+
+    def test_overflow_outside_small_argument_range_signals_inf(self):
+        # kve(300, 10) overflows, but the leading term is 925.678 there
+        # against the true 925.594; inf shows the failure a wrong value hides
+        assert log_bessel_k(300.0, 10.0) == math.inf
 
     def test_log_form_matches_for_large_argument(self):
         # direct kernel underflows near x ~ 800; the log form stays finite
