@@ -29,6 +29,23 @@ _INPUT_ERRORS = (ValueError, OSError, json.JSONDecodeError)
 _NUMERICAL_ERRORS = (ArithmeticError, RuntimeError)
 
 
+def _level(text: str) -> float:
+    """argparse type of a risk level beta in (0, 1)."""
+    try:
+        beta = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"beta must be a number: {text!r}")
+    if not 0.0 < beta < 1.0:
+        raise argparse.ArgumentTypeError(
+            f"beta must lie in (0, 1), got {beta}")
+    return beta
+
+
+def _levels(text: str) -> list[float]:
+    """argparse type of a comma-separated list of risk levels."""
+    return [_level(tok) for tok in text.split(",")]
+
+
 def _parse_weights(text: str, n: int) -> np.ndarray:
     try:
         weights = np.array([float(tok) for tok in text.split(",")])
@@ -75,8 +92,6 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_risk(args) -> int:
-    if not 0.0 < args.beta < 1.0:
-        raise ValueError(f"beta must lie in (0, 1), got {args.beta}")
     model = fitmod.load_model(args.model)
     weights = _parse_weights(args.weights, model.n)
     measure = args.measure
@@ -102,20 +117,10 @@ def _cmd_risk(args) -> int:
         "method": result.method,
         "measure": measure,
         "beta": result.beta,
-        "diagnostics": _plain(result.diagnostics),
+        "diagnostics": result.diagnostics,
     }
     sys.stdout.write(json.dumps(record) + "\n")
     return EXIT_OK
-
-
-def _plain(obj):
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    return obj
 
 
 def _cmd_frontier(args) -> int:
@@ -145,13 +150,9 @@ def _cmd_frontier(args) -> int:
 
 def _cmd_compare(args) -> int:
     model = fitmod.load_model(args.model)
-    betas = [float(tok) for tok in args.betas.split(",")]
-    for beta in betas:
-        if not 0.0 < beta < 1.0:
-            raise ValueError(f"beta must lie in (0, 1), got {beta}")
     portfolios = []
     with open(args.portfolios, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        for line in fh:
             line = line.strip()
             if not line:
                 continue
@@ -170,7 +171,7 @@ def _cmd_compare(args) -> int:
     writer.writerow(header)
     for i, weights in enumerate(portfolios):
         x = tm.x_from_weights(weights)
-        for beta in betas:
+        for beta in args.betas:
             for measure in measures:
                 row = [i, f"{beta:g}", measure]
                 try:
@@ -210,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_risk.add_argument("--weights", required=True,
                         help="comma-separated portfolio weights")
     p_risk.add_argument("--measure", choices=["var", "cvar"], required=True)
-    p_risk.add_argument("--beta", type=float, required=True)
+    p_risk.add_argument("--beta", type=_level, required=True)
     p_risk.add_argument("--method",
                         choices=["exact", "two-point", "piecewise", "mc"],
                         default="exact")
@@ -224,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_front.add_argument("--rmin", type=float, required=True)
     p_front.add_argument("--rmax", type=float, required=True)
     p_front.add_argument("--steps", type=int, required=True)
-    p_front.add_argument("--beta", type=float, required=True)
+    p_front.add_argument("--beta", type=_level, required=True)
     p_front.add_argument("--out", help="CSV output path (default stdout)")
     p_front.set_defaults(func=_cmd_frontier)
 
@@ -233,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--model", required=True)
     p_cmp.add_argument("--portfolios", required=True,
                        help="CSV with one weight row per line")
-    p_cmp.add_argument("--betas", default="0.1,0.05,0.01")
+    p_cmp.add_argument("--betas", type=_levels, default="0.1,0.05,0.01")
     p_cmp.add_argument("--measure", choices=["var", "cvar", "both"],
                        default="both")
     p_cmp.add_argument("--with-mc", action="store_true",

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize as _sopt
 
-from .mathkit import QuadratureSpec
 from .mixing import skew_condition
 from .nmvm import TransformedModel, portfolio_moments, skew_derivative
-from .risk import YaLaw, portfolio_risk_exact, risk_ya
+from .risk import (YaLaw, _check_beta, _check_measure, portfolio_risk_exact,
+                   risk_ya)
 
 __all__ = [
     "DegenerateConstraintsError",
@@ -120,8 +120,8 @@ def solve_mean_risk_skew(tm: TransformedModel, r: float) -> QuadraticSolution:
         skewness=portfolio_moments(tm, x).skew)
 
 
-def frontier(tm: TransformedModel, r_grid, beta: float,
-             spec: QuadratureSpec | None = None) -> list[FrontierPoint]:
+def frontier(tm: TransformedModel, r_grid,
+             beta: float) -> list[FrontierPoint]:
     """Sweep the least-norm solutions over a return grid, attaching the exact
     CVaR and the skewness of each point. Failed grid points are emitted with
     their error message instead of aborting the sweep."""
@@ -130,7 +130,7 @@ def frontier(tm: TransformedModel, r_grid, beta: float,
     for r in np.asarray(r_grid, dtype=float):
         try:
             sol = solve_mean_risk_skew(tm, float(r))
-            cvar = portfolio_risk_exact(tm, sol.x_star, "cvar", beta, spec).value
+            cvar = portfolio_risk_exact(tm, sol.x_star, "cvar", beta).value
             points.append(FrontierPoint(
                 target_return=float(r), cvar=cvar, skewness=sol.skewness,
                 weights=sol.omega_star))
@@ -145,7 +145,7 @@ _SLSQP_OPTIONS = {"ftol": 1e-15, "maxiter": 200}
 
 
 def solve_mean_risk_reduced(tm: TransformedModel, measure: str, beta: float,
-                            k: float, spec: QuadratureSpec | None = None,
+                            k: float,
                             grid_size: int | None = None) -> ReducedSolution:
     """Minimize portfolio risk subject to x^T e_A = 1 and expected return >= k.
 
@@ -167,8 +167,8 @@ def solve_mean_risk_reduced(tm: TransformedModel, measure: str, beta: float,
     if tm.mode != "mean_risk":
         raise ValueError(
             "solve_mean_risk_reduced requires a transform with mode='mean_risk'")
-    if measure not in ("var", "cvar"):
-        raise ValueError(f"measure must be 'var' or 'cvar', got {measure!r}")
+    _check_measure(measure)
+    _check_beta(beta)
     ez = tm.mixing.moments().ez
     e_norm = float(np.linalg.norm(tm.e_a))
     zero_tol = 1e-13 * max(e_norm, 1.0)
@@ -204,7 +204,7 @@ def solve_mean_risk_reduced(tm: TransformedModel, measure: str, beta: float,
         mu_t = float(u[0]) if has_mu else 0.0
         gam_t = float(u[-1]) if has_gamma else 0.0
         a = min(max(gam_t / sg, -b), b)
-        return -mu_t + sg * risk_ya(YaLaw(a, tm.mixing), measure, beta, spec)
+        return -mu_t + sg * risk_ya(YaLaw(a, tm.mixing), measure, beta)
 
     # anchor: least-norm x with x^T m = k, x^T e_A = 1; when m is parallel to
     # e_A, every x with x^T e_A = 1 earns the same return, and the least-norm

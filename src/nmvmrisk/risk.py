@@ -30,8 +30,8 @@ import numpy as np
 from scipy import optimize as _sopt
 from scipy import special as _sspec
 
-from .mathkit import (DEFAULT_QUADRATURE, QuadratureSpec, RootBracket,
-                      find_root, log_bessel_k, normal_quantile)
+from .mathkit import (DEFAULT_QUADRATURE, RootBracket, find_root,
+                      log_bessel_k, normal_quantile)
 from .mixing import Gig, MixingLaw, gig_log_norm
 from .nmvm import TransformedModel, UnivariateMixture
 
@@ -79,7 +79,7 @@ class RiskResult:
 @dataclass(frozen=True)
 class TwoPointCoefficients:
     """Chord coefficients of the two-point approximation for one mixing law,
-    endpoint b = ||gamma0||, level beta and quadrature spec.
+    endpoint b = ||gamma0|| and level beta.
 
     w_plus/w_minus interpolate VaR, v_plus/v_minus interpolate CVaR:
     value(Y_a) ~ w_plus + w_minus * (a / b). Because a -> risk(Y_a) is
@@ -103,16 +103,14 @@ def _check_measure(measure: str):
         raise ValueError(f"measure must be one of {_MEASURES}, got {measure!r}")
 
 
-def cdf_ya(law: YaLaw, y: float, spec: QuadratureSpec | None = None) -> float:
+def cdf_ya(law: YaLaw, y: float) -> float:
     """P(Y_a <= y), the mixture of conditional normal CDFs."""
     a = law.a
-    val = law.mixing.expect(
-        lambda s: _sspec.ndtr((y - a * s) / np.sqrt(s)), spec)
+    val = law.mixing.expect(lambda s: _sspec.ndtr((y - a * s) / np.sqrt(s)))
     return min(max(val, 0.0), 1.0)
 
 
-def density_ya(law: YaLaw, y: float, spec: QuadratureSpec | None = None,
-               method: str = "auto") -> float:
+def density_ya(law: YaLaw, y: float) -> float:
     """Density of Y_a at y.
 
     GIG mixing with interior parameters (chi, psi > 0) uses the closed form
@@ -122,21 +120,15 @@ def density_ya(law: YaLaw, y: float, spec: QuadratureSpec | None = None,
                  * K_{lam - 1/2}(q) e^{a y} / q^(1/2 - lam),
         q = sqrt((chi + y^2)(psi + a^2)),
 
-    otherwise the mixture integral of conditional normal densities is
-    evaluated by quadrature. method forces one route ("closed_form" or
-    "quadrature") for cross-validation.
+    every other mixing law integrates the conditional normal densities by
+    quadrature.
     """
-    if method not in ("auto", "closed_form", "quadrature"):
-        raise ValueError(f"unknown density method: {method!r}")
     mixing = law.mixing
-    closed_ok = isinstance(mixing, Gig) and mixing.chi > 0.0 and mixing.psi > 0.0
-    if method == "closed_form" and not closed_ok:
-        raise ValueError("closed form requires interior GIG mixing")
-    if closed_ok and method != "quadrature":
+    if isinstance(mixing, Gig) and mixing.chi > 0.0 and mixing.psi > 0.0:
         return _density_ya_gig(mixing, law.a, y)
     a = law.a
     val = mixing.expect(
-        lambda s: np.exp(-0.5 * (y - a * s) ** 2 / s) / np.sqrt(s), spec)
+        lambda s: np.exp(-0.5 * (y - a * s) ** 2 / s) / np.sqrt(s))
     return val / _SQRT_2PI
 
 
@@ -153,7 +145,7 @@ def _density_ya_gig(mixing: Gig, a: float, y: float) -> float:
     return math.exp(log_val)
 
 
-def var_ya(law: YaLaw, beta: float, spec: QuadratureSpec | None = None) -> float:
+def var_ya(law: YaLaw, beta: float) -> float:
     """y_beta(a): the VaR of Y_a, i.e. the negated upper beta-quantile.
 
     Solves P(Y_a <= -y) = beta on a bracket grown geometrically from
@@ -161,16 +153,15 @@ def var_ya(law: YaLaw, beta: float, spec: QuadratureSpec | None = None) -> float
     doublings, for heavy-tailed mixing at small beta).
     """
     _check_beta(beta)
-    return _var_solve(law, beta, spec)[0]
+    return _var_solve(law, beta)[0]
 
 
-def _var_solve(law: YaLaw, beta: float,
-               spec: QuadratureSpec | None) -> tuple[float, int]:
+def _var_solve(law: YaLaw, beta: float) -> tuple[float, int]:
     """var_ya's root and its number of mixture quadratures, one per distinct
     abscissa: the objective keeps each value it computes for this solve."""
     mm = law.mixing.moments()
     width = abs(law.a) * mm.ez + 10.0 * math.sqrt(mm.ez)
-    objective = functools.cache(lambda y: cdf_ya(law, -y, spec) - beta)
+    objective = functools.cache(lambda y: cdf_ya(law, -y) - beta)
 
     lo, hi = -width, width
     f_lo, f_hi = objective(lo), objective(hi)
@@ -191,31 +182,28 @@ def _var_solve(law: YaLaw, beta: float,
             objective.cache_info().currsize)
 
 
-def cvar_ya(law: YaLaw, beta: float, spec: QuadratureSpec | None = None) -> float:
+def cvar_ya(law: YaLaw, beta: float) -> float:
     """CVaR of Y_a at level beta via the conditional-tail expectation."""
     _check_beta(beta)
-    return _cvar_tail(law, var_ya(law, beta, spec), beta, spec)
+    return _cvar_tail(law, var_ya(law, beta), beta)
 
 
-def _cvar_tail(law: YaLaw, y: float, beta: float,
-               spec: QuadratureSpec | None) -> float:
+def _cvar_tail(law: YaLaw, y: float, beta: float) -> float:
     """CVaR of Y_a given its VaR y; one mixture quadrature."""
     a = law.a
     with np.errstate(under="ignore"):
         val = law.mixing.expect(
             lambda s: (a * s * _sspec.ndtr((-y - a * s) / np.sqrt(s))
                        - np.sqrt(s / (2.0 * math.pi))
-                       * np.exp(-0.5 * (y + a * s) ** 2 / s)),
-            spec)
+                       * np.exp(-0.5 * (y + a * s) ** 2 / s)))
     return -val / beta
 
 
-def risk_ya(law: YaLaw, measure: str, beta: float,
-            spec: QuadratureSpec | None = None) -> float:
+def risk_ya(law: YaLaw, measure: str, beta: float) -> float:
     _check_measure(measure)
     if measure == "var":
-        return var_ya(law, beta, spec)
-    return cvar_ya(law, beta, spec)
+        return var_ya(law, beta)
+    return cvar_ya(law, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -226,15 +214,14 @@ _SCALAR_RISK_MEMO_SIZE = 4096
 
 
 @functools.lru_cache(maxsize=_SCALAR_RISK_MEMO_SIZE)
-def _scalar_risk(mixing: MixingLaw, a: float, measure: str, beta: float,
-                 spec: QuadratureSpec) -> float:
+def _scalar_risk(mixing: MixingLaw, a: float, measure: str,
+                 beta: float) -> float:
     # risk(Y_a) depends on nothing else, so the key holds no model vectors;
     # a CVaR entry reuses the memoized VaR instead of solving it again
     law = YaLaw(a, mixing)
     if measure == "var":
-        return var_ya(law, beta, spec)
-    return _cvar_tail(law, _scalar_risk(mixing, a, "var", beta, spec), beta,
-                      spec)
+        return var_ya(law, beta)
+    return _cvar_tail(law, _scalar_risk(mixing, a, "var", beta), beta)
 
 
 def clear_caches():
@@ -242,12 +229,12 @@ def clear_caches():
     _scalar_risk.cache_clear()
 
 
-def h(tm: TransformedModel, a: float, measure: str, beta: float,
-      spec: QuadratureSpec | None = None) -> float:
+def h(tm: TransformedModel, a: float, measure: str, beta: float) -> float:
     """risk(Y_a) for the model's mixing law.
 
     Memoized in a bounded least-recently-used table keyed on (mixing law, a,
-    measure, beta, quadrature spec); models sharing a mixing law share
+    measure, beta); every entry is priced at DEFAULT_QUADRATURE, the one
+    tolerance no caller changes, so models sharing a mixing law share
     entries. Decreasing, convex, and continuous in a when the measure is
     coherent; for VaR those structural guarantees are only checked
     empirically, which is also the basis on which the chord approximation is
@@ -255,8 +242,7 @@ def h(tm: TransformedModel, a: float, measure: str, beta: float,
     """
     _check_measure(measure)
     _check_beta(beta)
-    return _scalar_risk(tm.mixing, float(a), measure, beta,
-                        spec or DEFAULT_QUADRATURE)
+    return _scalar_risk(tm.mixing, float(a), measure, beta)
 
 
 def _portfolio(tm: TransformedModel, x: np.ndarray, measure: str,
@@ -273,41 +259,38 @@ def _portfolio(tm: TransformedModel, x: np.ndarray, measure: str,
 
 
 def portfolio_risk_exact(tm: TransformedModel, x: np.ndarray, measure: str,
-                         beta: float,
-                         spec: QuadratureSpec | None = None) -> RiskResult:
+                         beta: float) -> RiskResult:
     """-x^T mu0 + ||x|| risk(Y_a) with a = ||gamma0|| cos(x, gamma0); its
-    quadrature_evaluations are the VaR solve's distinct abscissae (+1 CVaR)."""
+    quadrature_evaluations are the VaR solve's distinct abscissae (+1 CVaR),
+    each integrated to DEFAULT_QUADRATURE, whose abs_tol it reports."""
     loc, norm, cos_theta = _portfolio(tm, x, measure, beta)
     a = tm.gamma0_norm * cos_theta
     law = YaLaw(a, tm.mixing)
-    tail, evaluations = _var_solve(law, beta, spec)
+    tail, evaluations = _var_solve(law, beta)
     if measure == "cvar":
-        tail = _cvar_tail(law, tail, beta, spec)
+        tail = _cvar_tail(law, tail, beta)
         evaluations += 1
-    used = spec or DEFAULT_QUADRATURE
-    return RiskResult(value=loc + norm * tail, method="exact_quadrature",
-                      beta=beta,
-                      diagnostics={"a": a, "cos_theta": cos_theta,
-                                   "scalar_risk": tail,
-                                   "quadrature_evaluations": evaluations,
-                                   "quadrature_abs_tol": used.abs_tol})
+    return RiskResult(
+        value=loc + norm * tail, method="exact_quadrature", beta=beta,
+        diagnostics={"a": a, "cos_theta": cos_theta, "scalar_risk": tail,
+                     "quadrature_evaluations": evaluations,
+                     "quadrature_abs_tol": DEFAULT_QUADRATURE.abs_tol})
 
 
-def two_point_coefficients(tm: TransformedModel, beta: float,
-                           spec: QuadratureSpec | None = None) -> TwoPointCoefficients:
+def two_point_coefficients(tm: TransformedModel,
+                           beta: float) -> TwoPointCoefficients:
     """Chord coefficients from the two endpoint laws Y_{+-b}, b = ||gamma0||.
 
     The four endpoint values come from the scalar-risk memo that h uses, so
-    repeated calls for one mixing law, level and spec solve nothing anew.
+    repeated calls for one mixing law and level solve nothing anew.
     """
     _check_beta(beta)
     b = tm.gamma0_norm
     if b <= 0.0:
         raise ValueError("two-point coefficients require ||gamma0|| > 0; "
                          "use the elliptical path for gamma = 0")
-    spec = spec or DEFAULT_QUADRATURE
     var_p, var_m, cvar_p, cvar_m = (
-        _scalar_risk(tm.mixing, a, measure, beta, spec)
+        _scalar_risk(tm.mixing, a, measure, beta)
         for measure, a in (("var", b), ("var", -b), ("cvar", b), ("cvar", -b)))
     return TwoPointCoefficients(
         w_plus=0.5 * (var_p + var_m), w_minus=0.5 * (var_p - var_m),
@@ -316,8 +299,7 @@ def two_point_coefficients(tm: TransformedModel, beta: float,
 
 
 def portfolio_risk_two_point(tm: TransformedModel, x: np.ndarray, measure: str,
-                             beta: float,
-                             spec: QuadratureSpec | None = None) -> RiskResult:
+                             beta: float) -> RiskResult:
     """Chord through the memoized two_point_coefficients; exact at
     cos(x, gamma0) = +-1.
 
@@ -326,11 +308,11 @@ def portfolio_risk_two_point(tm: TransformedModel, x: np.ndarray, measure: str,
     """
     loc, norm, cos_theta = _portfolio(tm, x, measure, beta)
     if tm.gamma0_norm == 0.0:
-        tail = h(tm, 0.0, measure, beta, spec)
+        tail = h(tm, 0.0, measure, beta)
         return RiskResult(value=loc + norm * tail, method="two_point",
                           beta=beta, diagnostics={"cos_theta": cos_theta,
                                                   "elliptical": True})
-    coeffs = two_point_coefficients(tm, beta, spec)
+    coeffs = two_point_coefficients(tm, beta)
     if measure == "var":
         tail = coeffs.w_plus + coeffs.w_minus * cos_theta
     else:
@@ -341,8 +323,7 @@ def portfolio_risk_two_point(tm: TransformedModel, x: np.ndarray, measure: str,
 
 def portfolio_risk_piecewise(tm: TransformedModel, x: np.ndarray, measure: str,
                              beta: float, partition,
-                             interpolation: str = "step",
-                             spec: QuadratureSpec | None = None) -> RiskResult:
+                             interpolation: str = "step") -> RiskResult:
     """Approximate risk with a step (or piecewise-linear) surrogate for
     a -> risk(Y_a) on a partition of [-b, b].
 
@@ -355,7 +336,7 @@ def portfolio_risk_piecewise(tm: TransformedModel, x: np.ndarray, measure: str,
         raise ValueError(f"unknown interpolation: {interpolation!r}")
     b = tm.gamma0_norm
     if b == 0.0:
-        tail = h(tm, 0.0, measure, beta, spec)
+        tail = h(tm, 0.0, measure, beta)
         return RiskResult(value=loc + norm * tail, method="piecewise",
                           beta=beta, diagnostics={"elliptical": True})
     knots = np.asarray(partition, dtype=float)
@@ -366,7 +347,7 @@ def portfolio_risk_piecewise(tm: TransformedModel, x: np.ndarray, measure: str,
             knots[0] < -b - pad or knots[-1] > b + pad:
         raise ValueError(
             f"partition must cover [-b, b] = [{-b}, {b}] exactly")
-    values = np.array([h(tm, float(k), measure, beta, spec) for k in knots])
+    values = np.array([h(tm, float(k), measure, beta) for k in knots])
     a = b * cos_theta
     if interpolation == "linear":
         tail = float(np.interp(a, knots, values))
@@ -383,8 +364,7 @@ def portfolio_risk_piecewise(tm: TransformedModel, x: np.ndarray, measure: str,
 # Auxiliary-function cross-check (loss convention)
 # ---------------------------------------------------------------------------
 
-def rockafellar_F(um: UnivariateMixture, alpha: float, beta: float,
-                  spec: QuadratureSpec | None = None) -> float:
+def rockafellar_F(um: UnivariateMixture, alpha: float, beta: float) -> float:
     """F_beta(alpha) = alpha + E[(-Y - alpha)^+] / (1 - beta) for the loss -Y.
 
     Y is the portfolio return described by um; conditioning on Z makes the
@@ -400,12 +380,11 @@ def rockafellar_F(um: UnivariateMixture, alpha: float, beta: float,
         return (-alpha - mean) * _sspec.ndtr(z) + sd * np.exp(-0.5 * z * z) / _SQRT_2PI
 
     with np.errstate(under="ignore"):
-        expectation = um.mixing.expect(put_value, spec)
+        expectation = um.mixing.expect(put_value)
     return alpha + expectation / (1.0 - beta)
 
 
-def cvar_via_F(um: UnivariateMixture, beta: float,
-               spec: QuadratureSpec | None = None) -> float:
+def cvar_via_F(um: UnivariateMixture, beta: float) -> float:
     """CVaR of the loss -Y at level beta as min_alpha F_beta(alpha).
 
     One-dimensional convex minimization; agrees with the tail-integral CVaR
@@ -418,7 +397,7 @@ def cvar_via_F(um: UnivariateMixture, beta: float,
     width = 12.0 * (um.scale * math.sqrt(mm.ez) + abs(um.skew_coef) * mm.ez
                     + math.sqrt(mm.var) * abs(um.skew_coef) + 1e-12)
     res = _sopt.minimize_scalar(
-        lambda alpha: rockafellar_F(um, alpha, beta, spec),
+        lambda alpha: rockafellar_F(um, alpha, beta),
         bounds=(center - width, center + width), method="bounded",
         options={"xatol": 1e-10})
     if not res.success:

@@ -172,9 +172,9 @@ class TestRiskCommand:
         calls = {"n": 0}
         original = riskmod.two_point_coefficients
 
-        def counting(tm, beta, spec=None):
+        def counting(tm, beta):
             calls["n"] += 1
-            return original(tm, beta, spec)
+            return original(tm, beta)
 
         monkeypatch.setattr(riskmod, "two_point_coefficients", counting)
         # same (model, beta, measure) repeatedly: the chord endpoints are
@@ -227,6 +227,14 @@ class TestFrontierCommand:
         assert code == EXIT_NUMERICAL
         assert "parallel" in err
 
+    @pytest.mark.parametrize("beta", ["1.5", "nan"])
+    def test_beta_out_of_range(self, capsys, beta):
+        code, out, err = run(capsys, "frontier", "--model", SKEW_MODEL,
+                             "--rmin", "0.0", "--rmax", "0.003",
+                             "--steps", "3", "--beta", beta)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert "beta" in err
+
     def test_bad_grid(self, capsys):
         code, _, _ = run(capsys, "frontier", "--model", SKEW_MODEL,
                          "--rmin", "0.01", "--rmax", "0.001",
@@ -249,6 +257,15 @@ class TestCompareCommand:
             gap = abs(float(row["exact"]) - float(row["two_point"]))
             assert gap == pytest.approx(float(row["abs_gap"]), rel=1e-3)
             assert gap <= 5e-3
+
+    def test_betas_out_of_range(self, tmp_path, capsys):
+        ports = tmp_path / "ports.csv"
+        ports.write_text("0.2,0.2,0.2,0.2,0.2\n", encoding="utf-8")
+        code, out, err = run(capsys, "compare", "--model", MODEL,
+                             "--portfolios", str(ports),
+                             "--betas", "0.1,1.5")
+        assert (code, out) == (EXIT_INPUT, "")
+        assert "beta" in err
 
     def test_empty_portfolio_file(self, tmp_path, capsys):
         ports = tmp_path / "empty.csv"

@@ -306,6 +306,17 @@ class TestMeanRiskReduced:
         with pytest.raises(ValueError):
             solve_mean_risk_reduced(tm_skew, "cvar", 0.05, k=0.002)
 
+    @pytest.mark.parametrize("measure, beta", [
+        ("cvar", 7.0), ("var", math.nan), ("mad", 0.05)])
+    def test_rejects_bad_level_without_risk_terms(self, measure, beta):
+        # mu0 = gamma0 = 0 leaves nothing to optimize, so no risk is priced:
+        # the level and the measure must be checked up front
+        model = nr.NmvmModel(mu=np.zeros(2), gamma=np.zeros(2),
+                             sigma=np.eye(2), mixing=Gamma(1.0, 1.0))
+        tm = transform(model, mode="mean_risk")
+        with pytest.raises(ValueError, match="beta|measure"):
+            solve_mean_risk_reduced(tm, measure, beta, k=-1.0)
+
 
 class TestHypothesisCheck:
     def test_gamma_mixing(self):

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 import nmvmrisk as nr
 from nmvmrisk import risk as riskmod
-from nmvmrisk.mathkit import QuadratureSpec, normal_quantile
-from nmvmrisk.mixing import Degenerate, Gamma, Gig
+from nmvmrisk.mathkit import normal_quantile
+from nmvmrisk.mixing import Degenerate, Gig, InverseGaussian
 from nmvmrisk.nmvm import UnivariateMixture, project, transform
 from nmvmrisk.risk import (YaLaw, cdf_ya, clear_caches, cvar_via_F, cvar_ya,
                            density_ya, h, mc_risk, portfolio_risk_exact,
@@ -75,11 +75,15 @@ class TestDensityYa:
                 math.exp(-0.5 * y * y) / math.sqrt(2.0 * math.pi), rel=1e-12)
 
     def test_closed_form_matches_quadrature(self):
-        law = YaLaw(0.02, MIXING_REF)
-        closed = density_ya(law, 0.01, method="closed_form")
-        quad = density_ya(law, 0.01, method="quadrature")
-        assert closed == pytest.approx(0.6171540268381732, rel=1e-12)
-        assert abs(closed - quad) <= 1e-8
+        assert density_ya(YaLaw(0.02, MIXING_REF), 0.01) == \
+            pytest.approx(0.6171540268381732, rel=1e-12)
+        # one law two ways: IG(d, g) = GIG(-1/2, d^2, g^2), by quadrature
+        # and by the closed form
+        for d, g in ((0.5, 0.8), (1.0, 1.0), (2.0, 3.0)):
+            for a, y in ((-0.3, -1.2), (0.0, 0.4), (0.7, 2.5)):
+                quad = density_ya(YaLaw(a, InverseGaussian(d, g)), y)
+                closed = density_ya(YaLaw(a, Gig(-0.5, d * d, g * g)), y)
+                assert quad == pytest.approx(closed, rel=1e-9)
 
     def test_normalizes(self):
         law = YaLaw(B_REF, MIXING_REF)
@@ -92,11 +96,6 @@ class TestDensityYa:
         total += nr.integrate_semi_infinite(
             lambda u: np.array([density_ya(law, -v) for v in u]), spec)
         assert total == pytest.approx(1.0, abs=1e-7)
-
-    def test_closed_form_requires_interior_gig(self):
-        with pytest.raises(ValueError):
-            density_ya(YaLaw(0.0, Gamma(2.0, 2.0)), 0.1,
-                       method="closed_form")
 
 
 class TestVarYa:
@@ -169,31 +168,20 @@ class TestH:
         calls = {"n": 0}
         original = riskmod.var_ya
 
-        def counting(law, beta, spec=None):
+        def counting(law, beta):
             calls["n"] += 1
-            return original(law, beta, spec)
+            return original(law, beta)
 
         monkeypatch.setattr(riskmod, "var_ya", counting)
         h(tm_location, 0.01, "var", 0.1)
         h(tm_location, 0.01, "var", 0.1)
         assert calls["n"] == 1
 
-    def test_memo_keyed_on_quadrature_spec(self, tm_location):
-        fresh = h(tm_location, 0.01, "cvar", 0.05)
-        fresh_coeffs = two_point_coefficients(tm_location, 0.05)
-        clear_caches()
-        loose = QuadratureSpec(abs_tol=1e-3, rel_tol=1e-3)
-        assert h(tm_location, 0.01, "cvar", 0.05, loose) != fresh
-        assert two_point_coefficients(tm_location, 0.05, loose) != fresh_coeffs
-        assert h(tm_location, 0.01, "cvar", 0.05) == fresh
-        assert two_point_coefficients(tm_location, 0.05) == fresh_coeffs
-
     def test_memo_is_bounded(self):
         memo = riskmod._scalar_risk
         maxsize = memo.cache_info().maxsize
-        spec = QuadratureSpec()
         for i in range(maxsize + 10):
-            memo(Degenerate(), i * 1e-4, "var", 0.1, spec)
+            memo(Degenerate(), i * 1e-4, "var", 0.1)
         assert memo.cache_info().currsize <= maxsize
 
 
@@ -266,9 +254,9 @@ class TestPortfolioRiskExact:
         abscissae = []
         orig = riskmod.cdf_ya
 
-        def counted(law, y, spec=None):
+        def counted(law, y):
             abscissae.append(y)
-            return orig(law, y, spec)
+            return orig(law, y)
 
         monkeypatch.setattr(riskmod, "cdf_ya", counted)
         x = tm_location.x_from_weights(np.array([0.1, 0.4, 0.2, 0.1, 0.2]))
@@ -338,13 +326,13 @@ class TestTwoPoint:
         calls = {"var": 0, "cvar": 0}
         orig_var, orig_tail = riskmod.var_ya, riskmod._cvar_tail
 
-        def count_var(law, beta, spec=None):
+        def count_var(law, beta):
             calls["var"] += 1
-            return orig_var(law, beta, spec)
+            return orig_var(law, beta)
 
-        def count_tail(law, y, beta, spec):
+        def count_tail(law, y, beta):
             calls["cvar"] += 1
-            return orig_tail(law, y, beta, spec)
+            return orig_tail(law, y, beta)
 
         monkeypatch.setattr(riskmod, "var_ya", count_var)
         monkeypatch.setattr(riskmod, "_cvar_tail", count_tail)
