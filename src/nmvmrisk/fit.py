@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from datetime import date
 
 import numpy as np
-from scipy import optimize as _sopt
 from scipy import special as _sspec
 
 from .mixing import (Degenerate, Gamma, Gig, InverseGaussian, MixingLaw,
@@ -263,6 +262,8 @@ def _log_likelihood(x, mu, gamma, sigma, lam, chi, psi, chol, psi_rho, z, k_p):
 
 def _update_mixing(lam, chi, psi, t, sums, lambda_free):
     """CM cycles for the mixing parameters; never decreases the objective."""
+    # imported here: scipy.optimize adds ~0.3 s to every package import
+    from scipy.optimize import minimize, minimize_scalar
     sum_delta, sum_eta, sum_xi = sums
     best = _gig_q2(lam, chi, psi, t, sum_delta, sum_eta, sum_xi)
 
@@ -270,16 +271,15 @@ def _update_mixing(lam, chi, psi, t, sums, lambda_free):
         c, p = math.exp(params[0]), math.exp(params[1])
         return -_gig_q2(lam, c, p, t, sum_delta, sum_eta, sum_xi)
 
-    res = _sopt.minimize(neg_q2_logparams, [math.log(chi), math.log(psi)],
-                         method="Nelder-Mead",
-                         options={"xatol": 1e-10, "fatol": 1e-12,
-                                  "maxiter": 400})
+    res = minimize(neg_q2_logparams, [math.log(chi), math.log(psi)],
+                   method="Nelder-Mead",
+                   options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 400})
     if -res.fun > best:
         chi, psi = math.exp(res.x[0]), math.exp(res.x[1])
         best = -res.fun
 
     if lambda_free:
-        res = _sopt.minimize_scalar(
+        res = minimize_scalar(
             lambda v: -_gig_q2(v, chi, psi, t, sum_delta, sum_eta, sum_xi),
             bounds=(lam - 2.0, lam + 2.0), method="bounded",
             options={"xatol": 1e-10})

@@ -97,9 +97,11 @@ class MixingLaw:
         """n i.i.d. draws using the caller-owned generator."""
         raise NotImplementedError
 
-    def expect(self, f: Callable, spec: QuadratureSpec | None = None) -> float:
+    def expect(self, f: Callable, spec: QuadratureSpec | None = None):
         """E[f(Z)] by quadrature of f(s) times the density for s > 0 (the
-        nodes are all positive); f maps arrays elementwise."""
+        nodes are all positive); f maps arrays elementwise. An f that
+        returns shape (k, n) for n nodes gives the k expectations as an
+        array, from one quadrature on shared nodes."""
         with np.errstate(under="ignore"):
             return integrate_semi_infinite(
                 lambda s: f(s) * self._density_pos(s), spec)
@@ -160,12 +162,24 @@ class Gig(MixingLaw):
                       - 0.5 * (self.chi / w + self.psi * w))
 
     def raw_moment(self, r: float) -> float:
-        """E[Z^r]; raises MomentError when the moment is infinite."""
+        """E[Z^r]; raises MomentError when the moment is infinite.
+
+        Interior laws form (chi/psi)^(r/2) K_{lam+r}(omega) / K_lam(omega);
+        near chi = 0 or psi = 0, where one of those two factors leaves the
+        range of normal doubles, the product is formed in log space.
+        """
         lam, chi, psi = self.lam, self.chi, self.psi
         if chi > 0.0 and psi > 0.0:
             omega = math.sqrt(chi * psi)
             log_ratio = float(log_bessel_k(lam + r, omega) - log_bessel_k(lam, omega))
-            return (chi / psi) ** (0.5 * r) * math.exp(log_ratio)
+            try:
+                scale, ratio = (chi / psi) ** (0.5 * r), math.exp(log_ratio)
+            except OverflowError:
+                scale = ratio = 0.0
+            if min(scale, ratio) >= sys.float_info.min:
+                return scale * ratio
+            return math.exp(0.5 * r * (math.log(chi) - math.log(psi))
+                            + log_ratio)
         if chi == 0.0:  # Gamma(lam, psi/2)
             if lam + r <= 0.0:
                 raise MomentError(f"E[Z^{r}] does not exist for Gamma({lam}, ...)")
@@ -177,6 +191,12 @@ class Gig(MixingLaw):
         return (0.5 * chi) ** r * math.exp(math.lgamma(-lam - r) - math.lgamma(-lam))
 
     def moments(self) -> MixingMoments:
+        return self._moments
+
+    @cached_property
+    def _moments(self) -> MixingMoments:
+        """moments(), computed once per instance; a MomentError is not
+        cached, so every call raises it again."""
         e1 = self.raw_moment(1.0)
         e2 = self.raw_moment(2.0)
         e3 = self.raw_moment(3.0)
@@ -298,8 +318,9 @@ class Degenerate(MixingLaw):
         self._check_count(n)
         return np.ones(n)
 
-    def expect(self, f: Callable, spec: QuadratureSpec | None = None) -> float:
-        return float(np.asarray(f(np.array([1.0])))[0])
+    def expect(self, f: Callable, spec: QuadratureSpec | None = None):
+        val = np.asarray(f(np.array([1.0])), dtype=float)[..., 0]
+        return val if val.ndim else float(val)
 
 
 def skew_condition(law: MixingLaw) -> float:

@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize as _sopt
 
 from .mixing import skew_condition
 from .nmvm import TransformedModel, portfolio_moments, skew_derivative
@@ -225,10 +224,12 @@ def solve_mean_risk_reduced(tm: TransformedModel, measure: str, beta: float,
         raise ArithmeticError("no feasible portfolio meets the return floor; "
                               "check k")
     if u_best.size:
+        # imported here: scipy.optimize adds ~0.3 s to every package import
+        from scipy.optimize import minimize
         # a memo for this solve: SLSQP's first evaluation is the anchor
         scaled = functools.cache(lambda z: objective(np.array(z) * scale))
         best = scaled(tuple(z0))
-        res = _sopt.minimize(
+        res = minimize(
             lambda z: scaled(tuple(z)), z0, method="SLSQP",
             constraints=[{"type": "ineq",
                           "fun": lambda z: float(ret_row @ (z * scale)) - k,

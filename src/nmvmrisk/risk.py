@@ -5,7 +5,9 @@ Writing y_beta(a) for the VaR of Y_a at level beta, the quantile equation is
 
     beta = E[ Phi((-y_beta(a) - a Z) / sqrt(Z)) ]
 
-solved by bracketed root finding, and the tail expectation gives
+solved by safeguarded Newton iteration from the moment-matched normal
+quantile; its slope in y is -f_a(-y), the density of Y_a, which each step
+gets from the same quadrature pass as the CDF. The tail expectation gives
 
     CVaR_beta(Y_a) = -(1/beta) E[ a Z Phi((-y - a Z)/sqrt(Z))
                                   - sqrt(Z/(2 pi)) exp(-(y + a Z)^2 / (2 Z)) ]
@@ -27,11 +29,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize as _sopt
 from scipy import special as _sspec
 
-from .mathkit import (DEFAULT_QUADRATURE, RootBracket, find_root,
-                      log_bessel_k, normal_quantile)
+from .mathkit import (DEFAULT_QUADRATURE, BracketError, QuadratureError,
+                      find_root, log_bessel_k, normal_quantile)
 from .mixing import Gig, MixingLaw, gig_log_norm
 from .nmvm import TransformedModel, UnivariateMixture
 
@@ -148,38 +149,63 @@ def _density_ya_gig(mixing: Gig, a: float, y: float) -> float:
 def var_ya(law: YaLaw, beta: float) -> float:
     """y_beta(a): the VaR of Y_a, i.e. the negated upper beta-quantile.
 
-    Solves P(Y_a <= -y) = beta on a bracket grown geometrically from
-    +-(|a| EZ + 10 sqrt(EZ)) until it straddles the quantile (at most 60
-    doublings, for heavy-tailed mixing at small beta).
+    Solves P(Y_a <= -y) = beta by safeguarded Newton iteration (find_root,
+    to 1e-12 in y) from the quantile of the normal law with Y_a's mean and
+    variance, y0 = -(a EZ + sqrt(EZ + a^2 Var Z) Phi^-1(beta)). Each step is
+    one mixture quadrature pass that gives the CDF and the density of Y_a
+    together. A step that would leave the bracket becomes a bisection; while
+    the quantile is not yet bracketed it becomes a step of one standard
+    deviation of Y_a, doubled each time (at most 60, for heavy-tailed mixing
+    at small beta).
     """
     _check_beta(beta)
     return _var_solve(law, beta)[0]
 
 
-def _var_solve(law: YaLaw, beta: float) -> tuple[float, int]:
-    """var_ya's root and its number of mixture quadratures, one per distinct
-    abscissa: the objective keeps each value it computes for this solve."""
-    mm = law.mixing.moments()
-    width = abs(law.a) * mm.ez + 10.0 * math.sqrt(mm.ez)
-    objective = functools.cache(lambda y: cdf_ya(law, -y) - beta)
+def _cdf_density_ya(law: YaLaw, y: float) -> tuple[float, float]:
+    """(P(Y_a <= y), density of Y_a at y) from one mixture quadrature pass
+    that shares z = (y - a s)/sqrt(s) and the mixing density between the
+    two integrands."""
+    a = law.a
 
-    lo, hi = -width, width
-    f_lo, f_hi = objective(lo), objective(hi)
-    for _ in range(60):
-        # objective is decreasing in y: want f(lo) > 0 > f(hi)
-        if f_lo > 0.0 >= f_hi:
-            break
-        if f_lo <= 0.0:
-            lo *= 2.0
-            f_lo = objective(lo)
-        if f_hi > 0.0:
-            hi *= 2.0
-            f_hi = objective(hi)
-    else:
+    def integrand(s):
+        root = np.sqrt(s)
+        z = (y - a * s) / root
+        return np.stack((_sspec.ndtr(z), np.exp(-0.5 * z * z) / root))
+
+    cdf, density = law.mixing.expect(integrand)
+    return min(max(float(cdf), 0.0), 1.0), float(density) / _SQRT_2PI
+
+
+def _var_solve(law: YaLaw, beta: float) -> tuple[float, int]:
+    """var_ya's root and its number of mixture quadrature passes."""
+    mm = law.mixing.moments()
+    a = law.a
+    sd = math.sqrt(mm.ez + a * a * mm.var)
+    passes = 0
+
+    def objective(y):
+        # decreasing in y, with slope -f_a(-y)
+        nonlocal passes
+        passes += 1
+        try:
+            cdf, density = _cdf_density_ya(law, -y)
+        except QuadratureError:
+            # f_a is unbounded at 0 when E[Z^-1/2] is infinite (Gamma-like
+            # mixing of shape <= 1/2); the CDF alone gives find_root a point
+            # without a slope, which it bisects or steps past
+            passes += 1
+            return cdf_ya(law, -y) - beta, math.nan
+        return cdf - beta, -density
+
+    try:
+        root = find_root(objective, -(a * mm.ez + sd * normal_quantile(beta)),
+                         sd, tol=1e-12)
+    except BracketError as exc:
         raise ArithmeticError(
-            f"could not bracket the {beta}-quantile of Y_a (a={law.a})")
-    return (find_root(objective, RootBracket(lo, hi, tol=1e-12)),
-            objective.cache_info().currsize)
+            f"could not bracket the {beta}-quantile of Y_a (a={a}): "
+            f"{exc}") from exc
+    return root, passes
 
 
 def cvar_ya(law: YaLaw, beta: float) -> float:
@@ -261,8 +287,10 @@ def _portfolio(tm: TransformedModel, x: np.ndarray, measure: str,
 def portfolio_risk_exact(tm: TransformedModel, x: np.ndarray, measure: str,
                          beta: float) -> RiskResult:
     """-x^T mu0 + ||x|| risk(Y_a) with a = ||gamma0|| cos(x, gamma0); its
-    quadrature_evaluations are the VaR solve's distinct abscissae (+1 CVaR),
-    each integrated to DEFAULT_QUADRATURE, whose abs_tol it reports."""
+    quadrature_evaluations are the VaR solve's Newton passes, each one
+    quadrature giving the CDF and the density of Y_a (+1 for the CVaR
+    tail), all integrated to DEFAULT_QUADRATURE, whose abs_tol it
+    reports."""
     loc, norm, cos_theta = _portfolio(tm, x, measure, beta)
     a = tm.gamma0_norm * cos_theta
     law = YaLaw(a, tm.mixing)
@@ -390,13 +418,15 @@ def cvar_via_F(um: UnivariateMixture, beta: float) -> float:
     One-dimensional convex minimization; agrees with the tail-integral CVaR
     of the return at level 1 - beta.
     """
+    # imported here: scipy.optimize adds ~0.3 s to every package import
+    from scipy.optimize import minimize_scalar
     _check_beta(beta)
     mm = um.mixing.moments()
     center = -(um.loc + um.skew_coef * mm.ez) - \
         um.scale * math.sqrt(mm.ez) * normal_quantile(1.0 - beta)
     width = 12.0 * (um.scale * math.sqrt(mm.ez) + abs(um.skew_coef) * mm.ez
                     + math.sqrt(mm.var) * abs(um.skew_coef) + 1e-12)
-    res = _sopt.minimize_scalar(
+    res = minimize_scalar(
         lambda alpha: rockafellar_F(um, alpha, beta),
         bounds=(center - width, center + width), method="bounded",
         options={"xatol": 1e-10})

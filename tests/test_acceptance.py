@@ -166,6 +166,7 @@ def _empirical_var_cvar(y: np.ndarray, beta: float):
     return -float(part[k - 1]), -float(np.mean(part[:k]))
 
 
+@pytest.mark.slow
 def test_criterion_4_monte_carlo_oracle(location_model):
     start = time.time()
     n = 10_000_000

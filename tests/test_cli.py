@@ -304,12 +304,15 @@ class TestArgumentHandling:
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats is ~0.4 s of every CLI start and only Gig.sample needs it
+    # scipy.stats (~0.4 s) and scipy.optimize (~0.3 s) would be part of
+    # every CLI start; only Gig.sample, the CM2 update, the reduced
+    # optimizer and cvar_via_F need them, and they import them when called
     src = str(Path(nr.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, nmvmrisk.cli; print('scipy.stats' in sys.modules)"],
+         "import sys, nmvmrisk.cli; "
+         "print([m in sys.modules for m in ('scipy.stats', 'scipy.optimize')])"],
         env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[False, False]"

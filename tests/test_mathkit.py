@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 from nmvmrisk.mathkit import (BracketError, QuadratureError, QuadratureSpec,
-                              RootBracket, find_root,
-                              integrate_semi_infinite, log_bessel_k,
-                              normal_cdf, normal_quantile)
+                              find_root, integrate_semi_infinite,
+                              log_bessel_k, normal_cdf, normal_quantile)
 from nmvmrisk.mixing import Gig
 
 
@@ -182,6 +181,42 @@ class TestQuadrature:
         # at most the 8 seed panels, 15 nodes each
         assert len(sizes) <= 8 and set(sizes) == {15}
 
+    def test_scalar_integrand_value_unchanged(self):
+        # a scalar integrand keeps the arithmetic it had before vector
+        # integrands were allowed, to the last bit
+        assert integrate_semi_infinite(
+            lambda s: np.exp(-s) / np.sqrt(s)).hex() == "0x1.c5bf88fa3bb62p+0"
+        assert integrate_semi_infinite(
+            lambda s: np.log1p(s) * np.exp(-0.5 * s),
+            QuadratureSpec(1e-13, 1e-11, 400)).hex() == "0x1.d887be0f4bedbp+0"
+
+    def test_vector_integrand(self):
+        calls = []
+
+        def f(s):
+            calls.append(s)
+            return np.stack((np.exp(-s), s * np.exp(-s), np.exp(-s) / np.sqrt(s)))
+
+        val = integrate_semi_infinite(f)
+        assert val.shape == (3,)
+        assert val == pytest.approx([1.0, 1.0, math.sqrt(math.pi)], rel=1e-8,
+                                    abs=1e-10)
+        # every component meets the tolerance, so the pass runs at least as
+        # many panels as its hardest component alone
+        alone = []
+        integrate_semi_infinite(
+            lambda s: alone.append(s) or np.exp(-s) / np.sqrt(s))
+        assert len(calls) >= len(alone)
+
+    def test_vector_nonconvergence_carries_estimates(self):
+        spec = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-14, max_subdivisions=9)
+        with pytest.raises(QuadratureError) as err:
+            integrate_semi_infinite(
+                lambda s: np.stack((np.exp(-s), np.exp(-s) / np.sqrt(s))), spec)
+        assert err.value.estimate[1] == pytest.approx(math.sqrt(math.pi),
+                                                      rel=1e-2)
+        assert err.value.error_bound.shape == (2,)
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             QuadratureSpec(abs_tol=0.0)
@@ -190,31 +225,79 @@ class TestQuadrature:
 
 
 class TestFindRoot:
+    @staticmethod
+    def normal_cdf_minus(p):
+        return lambda x: (normal_cdf(x) - p,
+                          math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi))
+
     def test_linear(self):
-        assert find_root(lambda x: x - 2.0,
-                         RootBracket(0.0, 5.0)) == pytest.approx(2.0,
-                                                                 abs=1e-12)
+        assert find_root(lambda x: (x - 2.0, 1.0), 0.0,
+                         5.0) == pytest.approx(2.0, abs=1e-12)
 
     def test_normal_quantile_by_root(self):
-        root = find_root(lambda x: normal_cdf(x) - 0.05,
-                         RootBracket(-10.0, 10.0))
+        root = find_root(self.normal_cdf_minus(0.05), 0.0, 10.0)
         assert root == pytest.approx(-1.6448536269514722, abs=1e-9)
 
     def test_cubic_root_at_zero(self):
-        assert find_root(lambda x: x ** 3,
-                         RootBracket(-1.0, 2.0)) == pytest.approx(0.0,
-                                                                  abs=1e-6)
+        # the slope vanishes at the root, so Newton's steps only shrink by
+        # 2/3 and the bisection safeguard has to take over
+        assert find_root(lambda x: (x ** 3, 3.0 * x * x), 2.0,
+                         3.0) == pytest.approx(0.0, abs=1e-6)
+
+    def test_overshoot_from_far_start(self):
+        # plain Newton diverges on arctan from |x - root| > 1.39
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return math.atan(x - 1.0), 1.0 / (1.0 + (x - 1.0) ** 2)
+
+        assert find_root(f, 30.0, 100.0) == pytest.approx(1.0, abs=1e-12)
+        assert max(abs(x - 1.0) for x in calls) <= 100.0
+        assert len(calls) <= 40
+
+    def test_newton_cycle_broken_by_bisection(self):
+        # Newton maps x to -x on sign(x) sqrt|x| forever; a step that does
+        # not halve the one before must become a bisection
+        def f(x):
+            root = math.sqrt(abs(x))
+            return math.copysign(root, x), 0.5 / root if root else math.inf
+
+        assert find_root(f, 1.0, 10.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_no_sign_change(self):
         with pytest.raises(BracketError):
-            find_root(lambda x: x * x + 1.0, RootBracket(-1.0, 1.0))
+            find_root(lambda x: (x * x + 1.0, 2.0 * x), 0.5, 1.0)
+
+    def test_flat_target_has_no_sign_change(self):
+        with pytest.raises(BracketError):
+            find_root(lambda x: (1.0, 0.0), 0.5, 1.0)
+
+    def test_flat_start_probes_both_sides(self):
+        # at x = 60 the upper tail and the density both underflow to 0, so
+        # no slope says which way the root lies
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return (normal_cdf(-x) - 0.05,
+                    -math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi))
+
+        assert find_root(f, 60.0, 10.0) == pytest.approx(
+            1.6448536269514722, abs=1e-12)
+        assert min(calls) < 60.0 < max(calls)
 
     def test_idempotent(self):
-        f = lambda x: normal_cdf(x) - 0.3
-        root = find_root(f, RootBracket(-10.0, 10.0, tol=1e-12))
-        again = find_root(f, RootBracket(root - 1e-6, root + 1e-6, tol=1e-12))
+        f = self.normal_cdf_minus(0.3)
+        root = find_root(f, 0.0, 10.0, tol=1e-12)
+        again = find_root(f, root, 1e-6, tol=1e-12)
         assert again == pytest.approx(root, abs=1e-12)
 
     def test_bracket_validation(self):
-        with pytest.raises(ValueError):
-            RootBracket(2.0, 1.0)
+        # the start point and step open the bracket search, tol closes it
+        for x0, step, tol in [(0.0, 1.0, 0.0), (0.0, 1.0, -1e-12),
+                              (0.0, 0.0, 1e-12), (0.0, -1.0, 1e-12),
+                              (0.0, math.inf, 1e-12), (0.0, math.nan, 1e-12),
+                              (math.nan, 1.0, 1e-12)]:
+            with pytest.raises(ValueError):
+                find_root(lambda x: (x, 1.0), x0, step, tol=tol)

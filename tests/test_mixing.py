@@ -11,7 +11,7 @@ from nmvmrisk import mixing as mixmod
 from nmvmrisk.mathkit import QuadratureSpec, integrate_semi_infinite
 from nmvmrisk.mixing import (Degenerate, Exponential, Gamma, Gig,
                              InverseGaussian, MomentError, skew_condition)
-from nmvmrisk.risk import YaLaw, cdf_ya
+from nmvmrisk.risk import YaLaw, cdf_ya, var_ya
 
 GIG_REF = Gig(lam=-0.5, chi=0.87953198, psi=0.645169932)
 
@@ -163,6 +163,58 @@ class TestMoments:
     def test_moments_error_when_third_missing(self):
         with pytest.raises(MomentError):
             Gig(lam=-1.5, chi=1.0, psi=0.0).moments()
+
+    def test_moments_error_raised_on_every_call(self):
+        law = Gig(lam=-1.5, chi=1.0, psi=0.0)
+        for _ in range(2):
+            with pytest.raises(MomentError):
+                law.moments()
+
+    def test_gig_moments_computed_once_per_law(self, monkeypatch):
+        calls = []
+        raw_moment = Gig.raw_moment
+
+        def counted(self, r):
+            calls.append(r)
+            return raw_moment(self, r)
+
+        monkeypatch.setattr(Gig, "raw_moment", counted)
+        law = Gig(lam=-0.5, chi=1.1, psi=0.9)
+        first = law.moments()
+        n_first = len(calls)
+        assert n_first > 0
+        assert law.moments() is first
+        assert len(calls) == n_first
+
+    @pytest.mark.parametrize("law", [Gig(3.0, 1e-300, 1.0),
+                                     Gig(-3.0, 1.0, 1e-300)],
+                             ids=["gamma_edge", "inverse_gamma_edge"])
+    def test_near_boundary_moments_finite(self, law):
+        # (chi/psi)^(r/2) or the Bessel ratio leaves the double range here
+        mm = law.moments()
+        assert all(math.isfinite(v) for v in (mm.ez, mm.ez2, mm.ez3))
+
+    @given(lam=st.floats(0.1, 20.0), log10_eps=st.floats(-300.0, -200.0),
+           other=st.floats(0.1, 10.0))
+    @settings(max_examples=200, deadline=None)
+    def test_near_boundary_moments_match_boundary_law(self, lam, log10_eps,
+                                                      other):
+        eps = 10.0 ** log10_eps
+        for r in (1.0, 2.0, 3.0, 4.0):
+            assert Gig(lam, eps, other).raw_moment(r) == pytest.approx(
+                Gig(lam, 0.0, other).raw_moment(r), rel=1e-10)
+            # inverse-gamma moments of order r exist for r < lam
+            if r < lam - 0.1:
+                assert Gig(-lam, other, eps).raw_moment(r) == pytest.approx(
+                    Gig(-lam, other, 0.0).raw_moment(r), rel=1e-10)
+
+
+def test_var_near_gamma_boundary_matches_gamma_law():
+    # Gig(3, chi -> 0, 1) tends to Gamma(3, 1/2); its moments overflowed
+    near = var_ya(YaLaw(0.2, Gig(3.0, 1e-300, 1.0)), 0.05)
+    assert near == pytest.approx(var_ya(YaLaw(0.2, Gamma(3.0, 0.5)), 0.05),
+                                 abs=1e-10)
+    assert near == pytest.approx(2.63044944, abs=1e-8)
 
 
 class TestSkewCondition:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import nmvmrisk as nr
 from nmvmrisk import risk as riskmod
 from nmvmrisk.mathkit import normal_quantile
-from nmvmrisk.mixing import Degenerate, Gig, InverseGaussian
+from nmvmrisk.mixing import Degenerate, Gamma, Gig, InverseGaussian
 from nmvmrisk.nmvm import UnivariateMixture, project, transform
 from nmvmrisk.risk import (YaLaw, cdf_ya, clear_caches, cvar_via_F, cvar_ya,
                            density_ya, h, mc_risk, portfolio_risk_exact,
@@ -124,6 +124,49 @@ class TestVarYa:
     def test_beta_domain(self):
         with pytest.raises(ValueError):
             var_ya(YaLaw(0.0, MIXING_REF), 1.5)
+
+    @pytest.mark.parametrize("mixing", [Gamma(0.3, 5.0), Gamma(0.5, 0.5)])
+    def test_median_where_density_is_unbounded(self, mixing):
+        # E[Z^-1/2] is infinite, so the density of Y_0 is infinite at the
+        # Newton start y0 = 0, which then has no slope
+        assert var_ya(YaLaw(0.0, mixing), 0.5) == pytest.approx(0.0,
+                                                                abs=1e-10)
+
+    def test_start_where_cdf_and_density_underflow(self):
+        # the normal start lies ~186 below the mean of this right-skewed
+        # law, where both integrands underflow to 0 and give no slope
+        law = YaLaw(3.0, Gig(-0.5, 20.0, 0.05))
+        y = var_ya(law, 1e-3)
+        assert y == pytest.approx(-3.7989201291818504, abs=1e-9)
+        assert cdf_ya(law, -y) == pytest.approx(1e-3, rel=1e-8)
+
+    @pytest.mark.parametrize("model", ["tm_location", "tm_skew"])
+    @pytest.mark.parametrize("beta", [0.1, 0.05, 0.01])
+    def test_newton_passes_per_solve(self, request, model, beta):
+        # from the moment-matched start, Newton needs 4-6 passes here
+        tm = request.getfixturevalue(model)
+        b = tm.gamma0_norm
+        for ratio in (-1.0, -0.6, -0.3, 0.0, 0.4, 0.8, 1.0):
+            _, passes = riskmod._var_solve(YaLaw(ratio * b, tm.mixing), beta)
+            assert passes <= 7
+
+    @pytest.mark.parametrize("mixing", [MIXING_REF, InverseGaussian(1.0, 1.0),
+                                        Degenerate()],
+                             ids=["gig", "ig", "degenerate"])
+    def test_cdf_and_density_share_one_pass(self, monkeypatch, mixing):
+        law = YaLaw(0.3, mixing)
+        cdf, density = cdf_ya(law, -1.2), density_ya(law, -1.2)
+        passes = []
+        orig = type(mixing).expect
+
+        def counted(self, f, spec=None):
+            passes.append(f)
+            return orig(self, f, spec)
+
+        monkeypatch.setattr(type(mixing), "expect", counted)
+        both = riskmod._cdf_density_ya(law, -1.2)
+        assert len(passes) == 1
+        assert both == pytest.approx((cdf, density), rel=1e-8, abs=1e-10)
 
 
 class TestCvarYa:
@@ -249,16 +292,15 @@ class TestPortfolioRiskExact:
     @pytest.mark.parametrize("beta", [0.1, 0.05, 0.01])
     def test_each_abscissa_evaluated_once(self, tm_location, monkeypatch,
                                           measure, beta):
-        # find_root's sign check and Brent's first two steps revisit the
-        # bracket ends; those must not cost a quadrature again
+        # each Newton step is one CDF+density pass at a new abscissa
         abscissae = []
-        orig = riskmod.cdf_ya
+        orig = riskmod._cdf_density_ya
 
         def counted(law, y):
             abscissae.append(y)
             return orig(law, y)
 
-        monkeypatch.setattr(riskmod, "cdf_ya", counted)
+        monkeypatch.setattr(riskmod, "_cdf_density_ya", counted)
         x = tm_location.x_from_weights(np.array([0.1, 0.4, 0.2, 0.1, 0.2]))
         result = portfolio_risk_exact(tm_location, x, measure, beta)
         assert len(abscissae) == len(set(abscissae))
@@ -472,3 +514,21 @@ def test_degenerate_var_closed_form_property(a, beta):
     assert var_ya(law, beta) == pytest.approx(-a - normal_quantile(beta),
                                               abs=1e-9)
     assert cvar_ya(law, beta) >= var_ya(law, beta) - 1e-12
+
+
+@given(law=st.one_of(
+    st.builds(Gig, st.floats(-3.0, 3.0), st.floats(0.1, 5.0),
+              st.floats(0.1, 5.0)),
+    st.builds(lambda lam, psi: Gig(lam, 0.0, psi), st.floats(0.3, 5.0),
+              st.floats(0.1, 5.0)),
+    st.builds(lambda lam, chi: Gig(-lam, chi, 0.0), st.floats(3.2, 8.0),
+              st.floats(0.1, 5.0)),
+    st.builds(Gamma, st.floats(0.3, 5.0), st.floats(0.1, 5.0)),
+    st.builds(InverseGaussian, st.floats(0.1, 5.0), st.floats(0.1, 5.0))),
+    ratio=st.floats(-1.0, 1.0), beta=st.floats(1e-3, 0.5))
+@settings(max_examples=100, deadline=None)
+def test_var_solves_the_quantile_equation(law, ratio, beta):
+    # a in [-b, b] with b = 1; the CDF is checked by the scalar quadrature,
+    # not by the pass the solve used
+    ya = YaLaw(ratio, law)
+    assert cdf_ya(ya, -var_ya(ya, beta)) == pytest.approx(beta, abs=1e-8)
