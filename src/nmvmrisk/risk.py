@@ -7,12 +7,14 @@ Writing y_beta(a) for the VaR of Y_a at level beta, the quantile equation is
 
 solved by safeguarded Newton iteration from the moment-matched normal
 quantile; its slope in y is -f_a(-y), the density of Y_a, which each step
-gets from the same quadrature pass as the CDF. The tail expectation gives
+gets from the same quadrature pass as the CDF F(-y). A CVaR solve adds the
+tail T(y) = E[ a Z Phi(z) - sqrt(Z) phi(z) ], z = (-y - a Z)/sqrt(Z), to
+each pass and reads, at its last abscissa y,
 
-    CVaR_beta(Y_a) = -(1/beta) E[ a Z Phi((-y - a Z)/sqrt(Z))
-                                  - sqrt(Z/(2 pi)) exp(-(y + a Z)^2 / (2 Z)) ]
+    CVaR_beta(Y_a) = y + (-T(y) - y F(-y)) / beta,
 
-with y = y_beta(a). A portfolio with x = A^T omega then has
+the auxiliary function of Rockafellar & Uryasev (2000), which is stationary
+in y at y_beta(a). A portfolio with x = A^T omega then has
 
     risk(omega^T X) = -x^T mu0 + ||x|| * risk(Y_a),
     a = ||gamma0|| * cos(x, gamma0),
@@ -156,80 +158,82 @@ def var_ya(law: YaLaw, beta: float) -> float:
     together. A step that would leave the bracket becomes a bisection; while
     the quantile is not yet bracketed it becomes a step of one standard
     deviation of Y_a, doubled each time (at most 60, for heavy-tailed mixing
-    at small beta).
+    at small beta). Y_0 is symmetric, so its median is 0 without a solve.
     """
     _check_beta(beta)
-    return _var_solve(law, beta)[0]
+    return _solve(law, "var", beta)[0]
 
 
-def _cdf_density_ya(law: YaLaw, y: float) -> tuple[float, float]:
-    """(P(Y_a <= y), density of Y_a at y) from one mixture quadrature pass
-    that shares z = (y - a s)/sqrt(s) and the mixing density between the
-    two integrands."""
+def cvar_ya(law: YaLaw, beta: float) -> float:
+    """CVaR of Y_a at level beta, read from the VaR solve's last pass."""
+    _check_beta(beta)
+    return _solve(law, "cvar", beta)[0]
+
+
+def _solve(law: YaLaw, measure: str, beta: float,
+           start: float | None = None) -> tuple[float, int]:
+    """(risk(Y_a), its number of mixture quadrature passes), solved from
+    `start` (default: the normal quantile). Each Newton pass at y integrates
+    the CDF F and the density of Y_a at -y on shared nodes and, for CVaR
+    only, the tail T = E[Y_a; Y_a <= -y]; the CVaR is read at the last
+    abscissa x as x + (-T - x F)/beta, which is stationary at the VaR."""
     a = law.a
-
-    def integrand(s):
-        root = np.sqrt(s)
-        z = (y - a * s) / root
-        return np.stack((_sspec.ndtr(z), np.exp(-0.5 * z * z) / root))
-
-    cdf, density = law.mixing.expect(integrand)
-    return min(max(float(cdf), 0.0), 1.0), float(density) / _SQRT_2PI
-
-
-def _var_solve(law: YaLaw, beta: float) -> tuple[float, int]:
-    """var_ya's root and its number of mixture quadrature passes."""
-    mm = law.mixing.moments()
-    a = law.a
-    sd = math.sqrt(mm.ez + a * a * mm.var)
+    tail = measure == "cvar"
     passes = 0
+    last = None
+
+    def rows(y, density):
+        def integrand(s):
+            root = np.sqrt(s)
+            z = (-y - a * s) / root
+            cdf = _sspec.ndtr(z)
+            out = [cdf, np.exp(-0.5 * z * z) / root]
+            if tail:
+                out.append(s * (a * cdf - out[1] / _SQRT_2PI))
+            return np.stack(out if density else out[::2])
+        return law.mixing.expect(integrand)
 
     def objective(y):
         # decreasing in y, with slope -f_a(-y)
-        nonlocal passes
+        nonlocal passes, last
         passes += 1
         try:
-            cdf, density = _cdf_density_ya(law, -y)
+            cdf, density, *rest = rows(y, True)
         except QuadratureError:
             # f_a is unbounded at 0 when E[Z^-1/2] is infinite (Gamma-like
             # mixing of shape <= 1/2); the CDF alone gives find_root a point
             # without a slope, which it bisects or steps past
             passes += 1
-            return cdf_ya(law, -y) - beta, math.nan
-        return cdf - beta, -density
+            (cdf, *rest), density = rows(y, False), math.nan
+        cdf = min(max(float(cdf), 0.0), 1.0)
+        last = y, cdf, rest
+        return cdf - beta, -float(density) / _SQRT_2PI
 
-    try:
-        root = find_root(objective, -(a * mm.ez + sd * normal_quantile(beta)),
-                         sd, tol=1e-12)
-    except BracketError as exc:
-        raise ArithmeticError(
-            f"could not bracket the {beta}-quantile of Y_a (a={a}): "
-            f"{exc}") from exc
-    return root, passes
-
-
-def cvar_ya(law: YaLaw, beta: float) -> float:
-    """CVaR of Y_a at level beta via the conditional-tail expectation."""
-    _check_beta(beta)
-    return _cvar_tail(law, var_ya(law, beta), beta)
-
-
-def _cvar_tail(law: YaLaw, y: float, beta: float) -> float:
-    """CVaR of Y_a given its VaR y; one mixture quadrature."""
-    a = law.a
-    with np.errstate(under="ignore"):
-        val = law.mixing.expect(
-            lambda s: (a * s * _sspec.ndtr((-y - a * s) / np.sqrt(s))
-                       - np.sqrt(s / (2.0 * math.pi))
-                       * np.exp(-0.5 * (y + a * s) ** 2 / s)))
-    return -val / beta
+    if a == 0.0 and beta == 0.5:
+        root = 0.0  # the median of the symmetric Y_0
+        if tail:
+            objective(root)
+    else:
+        mm = law.mixing.moments()
+        sd = math.sqrt(mm.ez + a * a * mm.var)
+        if start is None:
+            start = -(a * mm.ez + sd * normal_quantile(beta))
+        try:
+            root = find_root(objective, start, sd, tol=1e-12)
+        except BracketError as exc:
+            raise ArithmeticError(
+                f"could not bracket the {beta}-quantile of Y_a (a={a}): "
+                f"{exc}") from exc
+    if not tail:
+        return root, passes
+    x, cdf, (t,) = last
+    return x + (-float(t) - x * cdf) / beta, passes
 
 
 def risk_ya(law: YaLaw, measure: str, beta: float) -> float:
     _check_measure(measure)
-    if measure == "var":
-        return var_ya(law, beta)
-    return cvar_ya(law, beta)
+    _check_beta(beta)
+    return _solve(law, measure, beta)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -240,14 +244,13 @@ _SCALAR_RISK_MEMO_SIZE = 4096
 
 
 @functools.lru_cache(maxsize=_SCALAR_RISK_MEMO_SIZE)
-def _scalar_risk(mixing: MixingLaw, a: float, measure: str,
-                 beta: float) -> float:
-    # risk(Y_a) depends on nothing else, so the key holds no model vectors;
-    # a CVaR entry reuses the memoized VaR instead of solving it again
+def _scalar_risk(mixing: MixingLaw, a: float,
+                 beta: float) -> tuple[float, float]:
+    # (VaR, CVaR) of Y_a depend on nothing else, so the key holds no model
+    # vectors; the CVaR pass starts at the solved VaR and takes one step
     law = YaLaw(a, mixing)
-    if measure == "var":
-        return var_ya(law, beta)
-    return _cvar_tail(law, _scalar_risk(mixing, a, "var", beta), beta)
+    var = var_ya(law, beta)
+    return var, _solve(law, "cvar", beta, start=var)[0]
 
 
 def clear_caches():
@@ -259,16 +262,16 @@ def h(tm: TransformedModel, a: float, measure: str, beta: float) -> float:
     """risk(Y_a) for the model's mixing law.
 
     Memoized in a bounded least-recently-used table keyed on (mixing law, a,
-    measure, beta); every entry is priced at DEFAULT_QUADRATURE, the one
-    tolerance no caller changes, so models sharing a mixing law share
-    entries. Decreasing, convex, and continuous in a when the measure is
-    coherent; for VaR those structural guarantees are only checked
-    empirically, which is also the basis on which the chord approximation is
-    applied to it.
+    beta), whose entry holds the VaR and the CVaR of Y_a from one solve;
+    every entry is priced at DEFAULT_QUADRATURE, the one tolerance no caller
+    changes, so models sharing a mixing law share entries. Decreasing,
+    convex, and continuous in a when the measure is coherent; for VaR those
+    structural guarantees are only checked empirically, which is also the
+    basis on which the chord approximation is applied to it.
     """
     _check_measure(measure)
     _check_beta(beta)
-    return _scalar_risk(tm.mixing, float(a), measure, beta)
+    return _scalar_risk(tm.mixing, float(a), beta)[_MEASURES.index(measure)]
 
 
 def _portfolio(tm: TransformedModel, x: np.ndarray, measure: str,
@@ -287,17 +290,13 @@ def _portfolio(tm: TransformedModel, x: np.ndarray, measure: str,
 def portfolio_risk_exact(tm: TransformedModel, x: np.ndarray, measure: str,
                          beta: float) -> RiskResult:
     """-x^T mu0 + ||x|| risk(Y_a) with a = ||gamma0|| cos(x, gamma0); its
-    quadrature_evaluations are the VaR solve's Newton passes, each one
-    quadrature giving the CDF and the density of Y_a (+1 for the CVaR
-    tail), all integrated to DEFAULT_QUADRATURE, whose abs_tol it
-    reports."""
+    quadrature_evaluations are the solve's Newton passes, each one
+    quadrature giving the CDF and the density of Y_a (and for CVaR its
+    tail, so the CVaR needs no pass of its own), all integrated to
+    DEFAULT_QUADRATURE, whose abs_tol it reports."""
     loc, norm, cos_theta = _portfolio(tm, x, measure, beta)
     a = tm.gamma0_norm * cos_theta
-    law = YaLaw(a, tm.mixing)
-    tail, evaluations = _var_solve(law, beta)
-    if measure == "cvar":
-        tail = _cvar_tail(law, tail, beta)
-        evaluations += 1
+    tail, evaluations = _solve(YaLaw(a, tm.mixing), measure, beta)
     return RiskResult(
         value=loc + norm * tail, method="exact_quadrature", beta=beta,
         diagnostics={"a": a, "cos_theta": cos_theta, "scalar_risk": tail,
@@ -309,7 +308,7 @@ def two_point_coefficients(tm: TransformedModel,
                            beta: float) -> TwoPointCoefficients:
     """Chord coefficients from the two endpoint laws Y_{+-b}, b = ||gamma0||.
 
-    The four endpoint values come from the scalar-risk memo that h uses, so
+    The two endpoint entries come from the scalar-risk memo that h uses, so
     repeated calls for one mixing law and level solve nothing anew.
     """
     _check_beta(beta)
@@ -317,9 +316,8 @@ def two_point_coefficients(tm: TransformedModel,
     if b <= 0.0:
         raise ValueError("two-point coefficients require ||gamma0|| > 0; "
                          "use the elliptical path for gamma = 0")
-    var_p, var_m, cvar_p, cvar_m = (
-        _scalar_risk(tm.mixing, a, measure, beta)
-        for measure, a in (("var", b), ("var", -b), ("cvar", b), ("cvar", -b)))
+    var_p, cvar_p = _scalar_risk(tm.mixing, b, beta)
+    var_m, cvar_m = _scalar_risk(tm.mixing, -b, beta)
     return TwoPointCoefficients(
         w_plus=0.5 * (var_p + var_m), w_minus=0.5 * (var_p - var_m),
         v_plus=0.5 * (cvar_p + cvar_m), v_minus=0.5 * (cvar_p - cvar_m),

@@ -186,11 +186,11 @@ class TestRiskCommand:
                              "--method", "two-point")
             assert code == EXIT_OK
         assert calls["n"] == 3  # wrapper called per run ...
-        # ... but the memo holds just the four endpoint values, reused; the
-        # first run's two CVaR entries also hit their endpoint VaRs
+        # ... but the memo holds just the two endpoint entries, each with
+        # its VaR and CVaR, which the later runs reuse
         memo = riskmod._scalar_risk.cache_info()
-        assert memo.currsize == 4
-        assert memo.hits == 10
+        assert memo.currsize == 2
+        assert memo.hits == 4
 
 
 class TestFrontierCommand:

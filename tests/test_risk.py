@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 import nmvmrisk as nr
 from nmvmrisk import risk as riskmod
-from nmvmrisk.mathkit import normal_quantile
+from nmvmrisk.mathkit import QuadratureSpec, normal_quantile
 from nmvmrisk.mixing import Degenerate, Gamma, Gig, InverseGaussian
 from nmvmrisk.nmvm import UnivariateMixture, project, transform
 from nmvmrisk.risk import (YaLaw, cdf_ya, clear_caches, cvar_via_F, cvar_ya,
@@ -125,12 +126,27 @@ class TestVarYa:
         with pytest.raises(ValueError):
             var_ya(YaLaw(0.0, MIXING_REF), 1.5)
 
-    @pytest.mark.parametrize("mixing", [Gamma(0.3, 5.0), Gamma(0.5, 0.5)])
-    def test_median_where_density_is_unbounded(self, mixing):
-        # E[Z^-1/2] is infinite, so the density of Y_0 is infinite at the
-        # Newton start y0 = 0, which then has no slope
-        assert var_ya(YaLaw(0.0, mixing), 0.5) == pytest.approx(0.0,
-                                                                abs=1e-10)
+    @pytest.mark.parametrize("mixing", [Gamma(0.3, 5.0), Gamma(0.5, 0.5),
+                                        Gig(0.2, 0.0, 1.0)])
+    def test_median_where_density_is_unbounded(self, location_model, mixing):
+        # E[Z^-1/2] is infinite, so the density of Y_0 is infinite at its
+        # median 0; symmetry gives that median without a solve, and the
+        # CVaR pass there drops the density
+        shape, rate = (mixing.shape, mixing.rate) if isinstance(
+            mixing, Gamma) else (mixing.lam, 0.5 * mixing.psi)
+        mean_sqrt = math.exp(math.lgamma(shape + 0.5)
+                             - math.lgamma(shape)) / math.sqrt(rate)
+        law = YaLaw(0.0, mixing)
+        assert var_ya(law, 0.5) == 0.0
+        assert cvar_ya(law, 0.5) == pytest.approx(
+            mean_sqrt * math.sqrt(2.0 / math.pi), rel=1e-9)
+        tm = transform(nr.NmvmModel(mu=location_model.mu, gamma=np.zeros(5),
+                                    sigma=location_model.sigma,
+                                    mixing=mixing))
+        x = tm.x_from_weights(np.ones(5) / 5.0)
+        for measure in ("var", "cvar"):
+            result = portfolio_risk_exact(tm, x, measure, 0.5)
+            assert result.diagnostics["quadrature_evaluations"] <= 2
 
     def test_start_where_cdf_and_density_underflow(self):
         # the normal start lies ~186 below the mean of this right-skewed
@@ -147,26 +163,36 @@ class TestVarYa:
         tm = request.getfixturevalue(model)
         b = tm.gamma0_norm
         for ratio in (-1.0, -0.6, -0.3, 0.0, 0.4, 0.8, 1.0):
-            _, passes = riskmod._var_solve(YaLaw(ratio * b, tm.mixing), beta)
+            _, passes = riskmod._solve(YaLaw(ratio * b, tm.mixing), "var",
+                                       beta)
             assert passes <= 7
 
     @pytest.mark.parametrize("mixing", [MIXING_REF, InverseGaussian(1.0, 1.0),
                                         Degenerate()],
                              ids=["gig", "ig", "degenerate"])
     def test_cdf_and_density_share_one_pass(self, monkeypatch, mixing):
-        law = YaLaw(0.3, mixing)
+        law, beta = YaLaw(0.3, mixing), 0.1
         cdf, density = cdf_ya(law, -1.2), density_ya(law, -1.2)
-        passes = []
-        orig = type(mixing).expect
+        objectives, passes = [], []
+        orig_root, orig_expect = riskmod.find_root, type(mixing).expect
+
+        def captured(f, x0, step, tol):
+            objectives.append(f)
+            return orig_root(f, x0, step, tol)
 
         def counted(self, f, spec=None):
             passes.append(f)
-            return orig(self, f, spec)
+            return orig_expect(self, f, spec)
 
+        monkeypatch.setattr(riskmod, "find_root", captured)
         monkeypatch.setattr(type(mixing), "expect", counted)
-        both = riskmod._cdf_density_ya(law, -1.2)
+        _, steps = riskmod._solve(law, "var", beta)
+        assert len(passes) == steps
+        passes.clear()
+        value, slope = objectives[0](1.2)
         assert len(passes) == 1
-        assert both == pytest.approx((cdf, density), rel=1e-8, abs=1e-10)
+        assert (value + beta, -slope) == pytest.approx((cdf, density),
+                                                       rel=1e-8, abs=1e-10)
 
 
 class TestCvarYa:
@@ -224,7 +250,7 @@ class TestH:
         memo = riskmod._scalar_risk
         maxsize = memo.cache_info().maxsize
         for i in range(maxsize + 10):
-            memo(Degenerate(), i * 1e-4, "var", 0.1)
+            memo(Degenerate(), i * 1e-4, 0.1)
         assert memo.cache_info().currsize <= maxsize
 
 
@@ -292,20 +318,25 @@ class TestPortfolioRiskExact:
     @pytest.mark.parametrize("beta", [0.1, 0.05, 0.01])
     def test_each_abscissa_evaluated_once(self, tm_location, monkeypatch,
                                           measure, beta):
-        # each Newton step is one CDF+density pass at a new abscissa
+        # each Newton step is one pass at a new abscissa, and the CVaR is
+        # read from the last of them, so it costs no pass of its own
         abscissae = []
-        orig = riskmod._cdf_density_ya
+        orig = riskmod.find_root
 
-        def counted(law, y):
-            abscissae.append(y)
-            return orig(law, y)
+        def recorded(f, x0, step, tol):
+            def g(y):
+                abscissae.append(y)
+                return f(y)
+            return orig(g, x0, step, tol)
 
-        monkeypatch.setattr(riskmod, "_cdf_density_ya", counted)
+        monkeypatch.setattr(riskmod, "find_root", recorded)
         x = tm_location.x_from_weights(np.array([0.1, 0.4, 0.2, 0.1, 0.2]))
         result = portfolio_risk_exact(tm_location, x, measure, beta)
         assert len(abscissae) == len(set(abscissae))
-        assert result.diagnostics["quadrature_evaluations"] == \
-            len(abscissae) + (measure == "cvar")
+        assert result.diagnostics["quadrature_evaluations"] == len(abscissae)
+        monkeypatch.undo()
+        law = YaLaw(result.diagnostics["a"], tm_location.mixing)
+        assert len(abscissae) == riskmod._solve(law, "var", beta)[1]
 
     def test_positive_homogeneity(self, tm_location):
         x = tm_location.x_from_weights(np.array([0.1, 0.4, 0.2, 0.1, 0.2]))
@@ -366,25 +397,29 @@ class TestTwoPoint:
 
     def test_cached_once(self, tm_location, monkeypatch):
         calls = {"var": 0, "cvar": 0}
-        orig_var, orig_tail = riskmod.var_ya, riskmod._cvar_tail
+        cvar_passes = []
+        orig_var, orig_solve = riskmod.var_ya, riskmod._solve
 
         def count_var(law, beta):
             calls["var"] += 1
             return orig_var(law, beta)
 
-        def count_tail(law, y, beta):
-            calls["cvar"] += 1
-            return orig_tail(law, y, beta)
+        def count_solve(law, measure, beta, start=None):
+            value, passes = orig_solve(law, measure, beta, start)
+            if measure == "cvar":
+                calls["cvar"] += 1
+                cvar_passes.append(passes)
+            return value, passes
 
         monkeypatch.setattr(riskmod, "var_ya", count_var)
-        monkeypatch.setattr(riskmod, "_cvar_tail", count_tail)
+        monkeypatch.setattr(riskmod, "_solve", count_solve)
         x = tm_location.x_from_weights(np.array([0.1, 0.4, 0.2, 0.1, 0.2]))
         portfolio_risk_two_point(tm_location, x, "var", 0.1)
         portfolio_risk_two_point(tm_location, x, "cvar", 0.1)
-        # one VaR solve and one CVaR tail per endpoint law: the CVaR tails
-        # reuse the memoized endpoint VaRs
-        assert calls["cvar"] == 2
-        assert calls["var"] == 2
+        # one VaR solve per endpoint law, whose memo entry also holds the
+        # CVaR read from one pass started at that VaR
+        assert calls == {"var": 2, "cvar": 2}
+        assert cvar_passes == [1, 1]
         first_pass = dict(calls)
         for _ in range(3):
             portfolio_risk_two_point(tm_location, x, "var", 0.1)
@@ -529,6 +564,15 @@ def test_degenerate_var_closed_form_property(a, beta):
 @settings(max_examples=100, deadline=None)
 def test_var_solves_the_quantile_equation(law, ratio, beta):
     # a in [-b, b] with b = 1; the CDF is checked by the scalar quadrature,
-    # not by the pass the solve used
+    # and the CVaR by the tail integral at the solved VaR, not by the pass
+    # the solve used
     ya = YaLaw(ratio, law)
-    assert cdf_ya(ya, -var_ya(ya, beta)) == pytest.approx(beta, abs=1e-8)
+    y = var_ya(ya, beta)
+    assert cdf_ya(ya, -y) == pytest.approx(beta, abs=1e-8)
+    tail = law.expect(
+        lambda s: (ratio * s * ndtr((-y - ratio * s) / np.sqrt(s))
+                   - np.sqrt(s / (2.0 * math.pi))
+                   * np.exp(-0.5 * (y + ratio * s) ** 2 / s)),
+        QuadratureSpec(1e-12, 1e-10, 400))
+    assert cvar_ya(ya, beta) == pytest.approx(-tail / beta, rel=1e-8,
+                                              abs=1e-10)
