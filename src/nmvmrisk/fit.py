@@ -15,14 +15,15 @@ import csv
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+import sys
+from dataclasses import astuple, dataclass
 from datetime import date
 
 import numpy as np
 from scipy import special as _sspec
 
-from .mixing import (Degenerate, Gamma, Gig, InverseGaussian, MixingLaw,
-                     gig_log_norm)
+from .mixing import (Degenerate, Exponential, Gamma, Gig, InverseGaussian,
+                     MixingLaw, gig_log_norm)
 from .nmvm import NmvmModel
 
 __all__ = [
@@ -386,27 +387,27 @@ def mcecm_fit(rm: ReturnsMatrix, cfg: FitConfig | None = None,
 
 SCHEMA_VERSION = 1
 
-_FAMILY_FIELDS = {
-    "gig": ("lambda", "chi", "psi"),
-    "gamma": ("shape", "rate"),
-    "inverse_gaussian": ("delta", "gamma_ig"),
-    "exponential": (),
-    "degenerate": (),
+# family -> (law class, parameter names in dataclass field order)
+_FAMILIES = {
+    "gig": (Gig, ("lambda", "chi", "psi")),
+    "gamma": (Gamma, ("shape", "rate")),
+    "inverse_gaussian": (InverseGaussian, ("delta", "gamma_ig")),
+    "exponential": (Exponential, ()),
+    "degenerate": (Degenerate, ()),
 }
 
 
-def _mixing_payload(law: MixingLaw) -> tuple[str, dict[str, float]]:
-    if isinstance(law, Gig):
-        return "gig", {"lambda": law.lam, "chi": law.chi, "psi": law.psi}
-    if isinstance(law, Gamma):
-        if law.shape == 1.0 and law.rate == 1.0:
-            return "exponential", {}
-        return "gamma", {"shape": law.shape, "rate": law.rate}
-    if isinstance(law, InverseGaussian):
-        return "inverse_gaussian", {"delta": law.delta,
-                                    "gamma_ig": law.gamma_ig}
-    if isinstance(law, Degenerate):
-        return "degenerate", {}
+def _is_number(value) -> bool:
+    # json gives bool for true/false and int for an integer literal of any size
+    return type(value) is float or (type(value) is int
+                                    and abs(value) <= sys.float_info.max)
+
+
+def _mixing_payload(law: MixingLaw) -> dict:
+    for family, (cls, names) in _FAMILIES.items():
+        if type(law) is cls:
+            values = [float(v) for v in astuple(law)]
+            return {"family": family, "parameters": dict(zip(names, values))}
     raise ModelFileError(f"cannot serialize mixing law {type(law).__name__}")
 
 
@@ -414,58 +415,52 @@ def _mixing_from_payload(payload) -> MixingLaw:
     if not isinstance(payload, dict) or "family" not in payload:
         raise ModelFileError("mixing block must carry a 'family' field")
     family = payload["family"]
-    params = payload.get("parameters", {})
-    if family not in _FAMILY_FIELDS:
+    if not isinstance(family, str) or family not in _FAMILIES:
         raise ModelFileError(f"unknown mixing family {family!r}")
-    expected = _FAMILY_FIELDS[family]
-    missing = [name for name in expected if name not in params]
-    if missing:
-        raise ModelFileError(f"mixing family {family!r} missing parameters "
-                             f"{missing}")
-    if family == "gig":
-        return Gig(lam=float(params["lambda"]), chi=float(params["chi"]),
-                   psi=float(params["psi"]))
-    if family == "gamma":
-        return Gamma(shape=float(params["shape"]), rate=float(params["rate"]))
-    if family == "inverse_gaussian":
-        return InverseGaussian(delta=float(params["delta"]),
-                               gamma_ig=float(params["gamma_ig"]))
-    if family == "exponential":
-        return Gamma(1.0, 1.0)
-    return Degenerate()
+    params = payload.get("parameters", {})
+    if not isinstance(params, dict):
+        raise ModelFileError("mixing 'parameters' must be an object")
+    cls, names = _FAMILIES[family]
+    values = [params.get(name) for name in names]
+    if not all(map(_is_number, values)):
+        raise ModelFileError(f"mixing family {family!r} parameters "
+                             f"{list(names)} missing or not numbers")
+    return cls(*map(float, values))
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
-def _fmt_vector(values) -> str:
-    return "[" + ", ".join(_fmt(v) for v in values) + "]"
+def _vector(payload, key: str, size: int) -> np.ndarray:
+    values = payload[key]
+    if not (isinstance(values, list) and len(values) == size
+            and all(map(_is_number, values))):
+        raise ModelFileError(f"{key!r} must be a list of {size} numbers")
+    return np.array(values, dtype=float)
 
 
 def save_model(model: NmvmModel, path) -> None:
     """Write a model file: JSON with a schema version, vectors mu and gamma,
-    the row-major flattened sigma, and the mixing family block. Reals carry
-    17 significant digits so the reload is bit-identical."""
-    family, params = _mixing_payload(model.mixing)
-    param_text = ", ".join(f'"{k}": {_fmt(v)}' for k, v in params.items())
-    text = (
-        "{\n"
-        f'  "schema_version": {SCHEMA_VERSION},\n'
-        f'  "n": {model.n},\n'
-        f'  "mu": {_fmt_vector(model.mu)},\n'
-        f'  "gamma": {_fmt_vector(model.gamma)},\n'
-        f'  "sigma": {_fmt_vector(model.sigma.ravel(order="C"))},\n'
-        f'  "mixing": {{"family": "{family}", '
-        f'"parameters": {{{param_text}}}}}\n'
-        "}\n"
-    )
+    the row-major flattened sigma, and the mixing family block. Reals are
+    written as the shortest repr that round-trips, so the reload is
+    bit-identical, and every law reloads equal to itself."""
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "n": model.n,
+        "mu": model.mu.tolist(),
+        "gamma": model.gamma.tolist(),
+        "sigma": model.sigma.ravel(order="C").tolist(),
+        "mixing": _mixing_payload(model.mixing),
+    }
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.write(json.dumps(payload, indent=2) + "\n")
 
 
 def load_model(path) -> NmvmModel:
-    """Load and validate a model file written by save_model."""
+    """Load and validate a model file written by save_model. Raises
+    ModelFileError for invalid JSON, another schema_version, a missing
+    field, an n that is not a positive integer, a vector that is not n (or
+    n*n) numbers, or a mixing block whose family is unknown or whose
+    parameters are missing or not numbers; the model and law constructors
+    then reject non-finite values and a sigma that is not positive definite.
+    """
     with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
@@ -480,12 +475,11 @@ def load_model(path) -> NmvmModel:
     for key in ("n", "mu", "gamma", "sigma", "mixing"):
         if key not in payload:
             raise ModelFileError(f"model file missing field {key!r}")
-    n = int(payload["n"])
-    mu = np.asarray(payload["mu"], dtype=float)
-    gamma = np.asarray(payload["gamma"], dtype=float)
-    sigma_flat = np.asarray(payload["sigma"], dtype=float)
-    if mu.shape != (n,) or gamma.shape != (n,) or sigma_flat.shape != (n * n,):
-        raise ModelFileError("model file has inconsistent dimensions")
+    n = payload["n"]
+    if not (type(n) is int and n > 0):
+        raise ModelFileError(f"'n' must be a positive integer, got {n!r}")
+    mu = _vector(payload, "mu", n)
+    gamma = _vector(payload, "gamma", n)
+    sigma = _vector(payload, "sigma", n * n).reshape(n, n)
     mixing = _mixing_from_payload(payload["mixing"])
-    return NmvmModel(mu=mu, gamma=gamma,
-                     sigma=sigma_flat.reshape(n, n), mixing=mixing)
+    return NmvmModel(mu=mu, gamma=gamma, sigma=sigma, mixing=mixing)

@@ -164,20 +164,14 @@ class Gig(MixingLaw):
     def raw_moment(self, r: float) -> float:
         """E[Z^r]; raises MomentError when the moment is infinite.
 
-        Interior laws form (chi/psi)^(r/2) K_{lam+r}(omega) / K_lam(omega);
-        near chi = 0 or psi = 0, where one of those two factors leaves the
-        range of normal doubles, the product is formed in log space.
+        Interior laws form (chi/psi)^(r/2) K_{lam+r}(omega) / K_lam(omega)
+        in log space, so neither factor can leave the range of doubles near
+        chi = 0 or psi = 0.
         """
         lam, chi, psi = self.lam, self.chi, self.psi
         if chi > 0.0 and psi > 0.0:
             omega = math.sqrt(chi * psi)
             log_ratio = float(log_bessel_k(lam + r, omega) - log_bessel_k(lam, omega))
-            try:
-                scale, ratio = (chi / psi) ** (0.5 * r), math.exp(log_ratio)
-            except OverflowError:
-                scale = ratio = 0.0
-            if min(scale, ratio) >= sys.float_info.min:
-                return scale * ratio
             return math.exp(0.5 * r * (math.log(chi) - math.log(psi))
                             + log_ratio)
         if chi == 0.0:  # Gamma(lam, psi/2)

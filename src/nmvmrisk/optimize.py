@@ -246,14 +246,17 @@ def solve_mean_risk_reduced(tm: TransformedModel, measure: str, beta: float,
         g_value=float(v @ g_inv @ v))
 
 
-def check_skew_monotonicity(tm: TransformedModel,
-                            grid_points: int = 201) -> HypothesisCheck:
+_SKEW_GRID_POINTS = 201
+
+
+def check_skew_monotonicity(tm: TransformedModel) -> HypothesisCheck:
     """Evaluate the skewness condition and scan the skewness derivative.
 
-    Returns the value of m3(Z) EZ - 2 Var(Z)^2 together with a grid check
-    that the derivative of skewness in phi is nonnegative on [-1, 1].
+    Returns the value of m3(Z) EZ - 2 Var(Z)^2 together with a check on
+    201 evenly spaced points that the derivative of skewness in phi is
+    nonnegative on [-1, 1].
     """
     cond = skew_condition(tm.mixing)
-    grid = np.linspace(-1.0, 1.0, grid_points)
+    grid = np.linspace(-1.0, 1.0, _SKEW_GRID_POINTS)
     monotone = all(skew_derivative(tm, float(phi)) >= -1e-12 for phi in grid)
     return HypothesisCheck(condition_value=cond, monotone_on_grid=monotone)

@@ -437,9 +437,12 @@ def cvar_via_F(um: UnivariateMixture, beta: float) -> float:
 # Monte Carlo oracle
 # ---------------------------------------------------------------------------
 
+_MC_BATCHES = 10
+
+
 def mc_risk(um: UnivariateMixture, measure: str, beta: float, n_samples: int,
-            rng: np.random.Generator, n_batches: int = 10) -> RiskResult:
-    """Empirical VaR/CVaR with a batch-based standard error estimate."""
+            rng: np.random.Generator) -> RiskResult:
+    """Empirical VaR/CVaR with a standard error estimated from 10 batches."""
     _check_measure(measure)
     _check_beta(beta)
     if n_samples < 10_000:
@@ -458,8 +461,8 @@ def mc_risk(um: UnivariateMixture, measure: str, beta: float, n_samples: int,
 
     value = estimate(y)
     batch = np.array([estimate(chunk) for chunk in
-                      np.array_split(y, n_batches)])
-    se = float(np.std(batch, ddof=1) / math.sqrt(n_batches))
+                      np.array_split(y, _MC_BATCHES)])
+    se = float(np.std(batch, ddof=1) / math.sqrt(_MC_BATCHES))
     return RiskResult(value=value, method="monte_carlo", beta=beta,
                       diagnostics={"se": se, "n_samples": n_samples,
-                                   "n_batches": n_batches})
+                                   "n_batches": _MC_BATCHES})

@@ -168,6 +168,18 @@ class TestRiskCommand:
         assert (code, out) == (EXIT_INPUT, "")
         assert err.startswith("error:") and "finite" in err
 
+    def test_null_mixing_parameters_exit_one(self, tmp_path, capsys):
+        payload = json.loads(Path(MODEL).read_text(encoding="utf-8"))
+        payload["mixing"]["parameters"] = None
+        path = tmp_path / "null_parameters.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        code, out, err = run(capsys, "risk", "--model", str(path),
+                             "--weights", "0.1,0.4,0.2,0.1,0.2",
+                             "--measure", "var", "--beta", "0.1")
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_two_point_quadrature_amortized(self, capsys, monkeypatch):
         calls = {"n": 0}
         original = riskmod.two_point_coefficients

@@ -1,5 +1,6 @@
 """Tests for price ingestion, summary statistics, model I/O, and the fitter."""
 
+import json
 import math
 
 import numpy as np
@@ -144,7 +145,10 @@ class TestModelFile:
     @pytest.mark.parametrize("mixing", [Degenerate(),
                                         InverseGaussian(0.9, 1.4),
                                         nr.Gamma(2.5, 1.3),
-                                        nr.Exponential()],
+                                        nr.Gamma(1.0, 1.0),
+                                        nr.Exponential(),
+                                        Gig(3.0, 0.0, 1.0),
+                                        Gig(-2.0, 2.0, 0.0)],
                              ids=lambda law: repr(law))
     def test_roundtrip_families(self, tmp_path, mixing):
         model = nr.NmvmModel(mu=[0.0, 0.1], gamma=[0.05, -0.02],
@@ -154,8 +158,68 @@ class TestModelFile:
         save_model(model, path)
         loaded = load_model(path)
         assert np.array_equal(loaded.gamma, model.gamma)
-        assert type(loaded.mixing).__name__ in (type(mixing).__name__,
-                                                "Gamma")
+        assert loaded.mixing == mixing
+
+    @given(data=st.data(), n=st.integers(1, 3),
+           scale_exp=st.integers(-100, 100))
+    @settings(max_examples=100, deadline=None)
+    def test_roundtrip_bit_identical_over_magnitudes(self, tmp_path_factory,
+                                                     data, n, scale_exp):
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        positive = st.floats(1e-300, 1e300)
+        mu = data.draw(st.lists(finite, min_size=n, max_size=n))
+        gamma = data.draw(st.lists(finite, min_size=n, max_size=n))
+        # diagonal in [0.5, 2] times a common scale, correlations below
+        # 1/(n-1): positive definite and well conditioned at every magnitude
+        diag = np.array(data.draw(st.lists(st.floats(0.5, 2.0), min_size=n,
+                                           max_size=n))) * 10.0 ** scale_exp
+        corr = np.array(data.draw(st.lists(st.floats(-0.4, 0.4),
+                                           min_size=n * n, max_size=n * n)))
+        corr = np.triu(corr.reshape(n, n), 1)
+        root = np.sqrt(diag)
+        sigma = np.diag(diag) + np.outer(root, root) * (corr + corr.T)
+        mixing = data.draw(st.one_of(
+            st.builds(Gig, st.floats(-1e3, 1e3), positive, positive),
+            st.builds(lambda lam, psi: Gig(lam, 0.0, psi),
+                      st.floats(1e-300, 1e3), positive),
+            st.builds(lambda lam, chi: Gig(-lam, chi, 0.0),
+                      st.floats(1e-300, 1e3), positive),
+            st.builds(nr.Gamma, positive, positive),
+            st.builds(InverseGaussian, positive, positive),
+            st.just(nr.Exponential()), st.just(Degenerate())))
+        model = nr.NmvmModel(mu=mu, gamma=gamma, sigma=sigma, mixing=mixing)
+        path = tmp_path_factory.mktemp("roundtrip") / "m.json"
+        save_model(model, path)
+        loaded = load_model(path)
+        for name in ("mu", "gamma", "sigma"):
+            assert [v.hex() for v in getattr(loaded, name).ravel().tolist()] \
+                == [v.hex() for v in getattr(model, name).ravel().tolist()]
+        assert loaded.mixing == mixing
+
+    @pytest.mark.parametrize("keys, value", [
+        (("mixing", "parameters"), None),
+        (("mixing", "parameters", "lambda"), {"x": 1}),
+        (("mixing", "family"), ["gig"]),
+        (("n",), 1.9),
+        (("mu",), ["0.5"]),
+        (("gamma",), [True]),
+        (("sigma",), [10 ** 400]),
+    ], ids=["parameters-null", "lambda-object", "family-list", "n-float",
+            "mu-string", "gamma-bool", "sigma-int-beyond-float"])
+    def test_malformed_values_rejected(self, tmp_path, keys, value):
+        # a valid one-asset file; each edit alone makes it malformed
+        payload = {"schema_version": 1, "n": 1, "mu": [0.0], "gamma": [0.0],
+                   "sigma": [1.0],
+                   "mixing": {"family": "gig", "parameters": {
+                       "lambda": -0.5, "chi": 1.0, "psi": 1.0}}}
+        *outer, last = keys
+        target = payload
+        for key in outer:
+            target = target[key]
+        target[last] = value
+        path = write(tmp_path, "bad.json", json.dumps(payload))
+        with pytest.raises(ModelFileError):
+            load_model(path)
 
     def test_non_spd_sigma_rejected(self, tmp_path):
         text = """{
