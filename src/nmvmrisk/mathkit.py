@@ -203,81 +203,71 @@ def integrate_semi_infinite(f: Callable, spec: QuadratureSpec | None = None):
 # bisections that take the widest bracket they reach (2^60 steps of order 1)
 # down to 1e-12
 _MAX_ROOT_STEPS = 200
-# relative part of the root tolerance, as in brentq: a few units in the last
-# place, below which neither a step nor a bisection can move x
+# the root tolerance: an absolute part, and a relative part as in brentq, a
+# few units in the last place, below which neither a step nor a bisection
+# can move x
+_ROOT_TOL = 1e-12
 _ROOT_RTOL = 4.0 * np.finfo(float).eps
 
 
 def find_root(f: Callable[[float], tuple[float, float]], x0: float,
-              step: float, tol: float = 1e-12) -> float:
-    """Root of a monotone f by safeguarded Newton iteration (rtsafe, Press
-    et al., Numerical Recipes, 3rd ed., section 9.4), started from x0.
+              step: float) -> float:
+    """Root of a nondecreasing f by safeguarded Newton iteration (rtsafe,
+    Press et al., Numerical Recipes, 3rd ed., section 9.4), started from x0.
 
     f(x) returns the pair (f(x), f'(x)). Every evaluation narrows the
-    bracket [lo, hi] of the sign change. A Newton step that leaves the
-    bracket, or is not at most half the previous step, becomes a bisection.
-    While one side of the bracket is still unknown, such a step instead
-    goes `step` toward that side, and each further one twice as far (at
-    most 60 of them); the far end of that step also bounds a Newton step.
-    The side comes from the sign of f and of the first nonzero finite
-    slope; until a slope shows it, the steps probe both sides of x0 in
-    turn. Returns once a Newton step, a bisection step or the bracket is at
-    most tol + 4 eps |x|, without evaluating f at the final step's end.
+    bracket [lo, hi], which starts as (-inf, inf): f(x) < 0 sets lo and
+    f(x) > 0 sets hi. A zero, infinite or nan slope gives no Newton step. A
+    Newton step that leaves the bracket, or is not at most half the
+    previous step, becomes a bisection. While one side of the bracket is
+    still unbounded, such a step instead goes `step` toward it, up where
+    f < 0 and down where f > 0, and each further one twice as far (at most
+    60 of them); the far end of that step also bounds a Newton step.
+    Returns once a Newton step, a bisection step or the bracket is at most
+    1e-12 + 4 eps |x|, without evaluating f at the final step's end.
 
-    Raises ValueError for a non-positive tol or step or a non-finite x0,
-    BracketError when no sign change is found, and ArithmeticError when f
-    is not finite or the evaluation budget runs out.
+    Raises ValueError for a non-positive step, a non-finite x0 or a negative
+    slope, BracketError when no sign change is found, and ArithmeticError
+    when f is not finite or the evaluation budget runs out.
     """
-    if not tol > 0.0:
-        raise ValueError(f"root tol must be positive, got {tol}")
     if not 0.0 < step < math.inf:
         raise ValueError(f"root step must be positive and finite, got {step}")
     if not math.isfinite(x0):
         raise ValueError(f"root start point must be finite, got {x0}")
     x = float(x0)
-    neg = pos = None  # the latest abscissae where f < 0 and where f > 0
-    slope_sign = 0.0
+    lo, hi = -math.inf, math.inf
     grow, expansions = float(step), 0
     dx_prev = math.inf
     for _ in range(_MAX_ROOT_STEPS):
         fx, dfx = f(x)
         if not math.isfinite(fx):
             raise ArithmeticError(f"root target is not finite at {x}: {fx}")
+        if dfx < 0.0:
+            raise ValueError(
+                f"root target must be nondecreasing, f'({x}) = {dfx}")
         if fx == 0.0:
             return x
         if fx < 0.0:
-            neg = x
+            lo = x
         else:
-            pos = x
-        usable = dfx != 0.0 and math.isfinite(dfx)
-        if usable and not slope_sign:
-            slope_sign = math.copysign(1.0, dfx)
-        dx = -fx / dfx if usable else math.nan
-        x_tol = tol + _ROOT_RTOL * abs(x)
-        if neg is not None and pos is not None:
-            lo, hi = min(neg, pos), max(neg, pos)
+            hi = x
+        dx = -fx / dfx if 0.0 < dfx < math.inf else math.nan
+        x_tol = _ROOT_TOL + _ROOT_RTOL * abs(x)
+        if -math.inf < lo and hi < math.inf:
             if hi - lo <= x_tol:
                 return 0.5 * (lo + hi)
             if not (lo <= x + dx <= hi and abs(dx) <= 0.5 * abs(dx_prev)):
                 dx = 0.5 * (lo + hi) - x
         else:
-            toward = -slope_sign if fx > 0.0 else slope_sign
+            toward = 1.0 if fx < 0.0 else -1.0
             if not (0.0 < toward * dx <= grow
                     and abs(dx) <= 0.5 * abs(dx_prev)):
                 if expansions == 60:
                     raise BracketError(
                         f"no sign change found in 60 bracket expansions "
                         f"from {x0}: f({x}) = {fx:.6e}")
-                if toward:
-                    dx = toward * grow
-                    grow *= 2.0
-                else:
-                    # no slope has shown which way f runs yet: probe
-                    # x0 + grow, x0 - grow, then twice as far
-                    side = -1.0 if expansions % 2 else 1.0
-                    dx = x0 + side * grow - x
-                    if side < 0.0:
-                        grow *= 2.0
+                dx = toward * grow
+                grow *= 2.0
                 expansions += 1
                 dx_prev = dx
                 x += dx

@@ -58,7 +58,6 @@ class QuadraticSolution:
     t: float
     achieved_return: float
     skewness: float
-    risk_value: float | None = None
 
 
 @dataclass(frozen=True)

@@ -194,7 +194,7 @@ def _solve(law: YaLaw, measure: str, beta: float,
         return law.mixing.expect(integrand)
 
     def objective(y):
-        # decreasing in y, with slope -f_a(-y)
+        # increasing in y, with slope f_a(-y)
         nonlocal passes, last
         passes += 1
         try:
@@ -207,7 +207,7 @@ def _solve(law: YaLaw, measure: str, beta: float,
             (cdf, *rest), density = rows(y, False), math.nan
         cdf = min(max(float(cdf), 0.0), 1.0)
         last = y, cdf, rest
-        return cdf - beta, -float(density) / _SQRT_2PI
+        return beta - cdf, float(density) / _SQRT_2PI
 
     if a == 0.0 and beta == 0.5:
         root = 0.0  # the median of the symmetric Y_0
@@ -219,7 +219,7 @@ def _solve(law: YaLaw, measure: str, beta: float,
         if start is None:
             start = -(a * mm.ez + sd * normal_quantile(beta))
         try:
-            root = find_root(objective, start, sd, tol=1e-12)
+            root = find_root(objective, start, sd)
         except BracketError as exc:
             raise ArithmeticError(
                 f"could not bracket the {beta}-quantile of Y_a (a={a}): "
@@ -309,13 +309,12 @@ def two_point_coefficients(tm: TransformedModel,
     """Chord coefficients from the two endpoint laws Y_{+-b}, b = ||gamma0||.
 
     The two endpoint entries come from the scalar-risk memo that h uses, so
-    repeated calls for one mixing law and level solve nothing anew.
+    repeated calls for one mixing law and level solve nothing anew. At
+    b = 0 both endpoints are Y_0, one memo entry, and the chord is flat
+    (w_minus = v_minus = 0).
     """
     _check_beta(beta)
     b = tm.gamma0_norm
-    if b <= 0.0:
-        raise ValueError("two-point coefficients require ||gamma0|| > 0; "
-                         "use the elliptical path for gamma = 0")
     var_p, cvar_p = _scalar_risk(tm.mixing, b, beta)
     var_m, cvar_m = _scalar_risk(tm.mixing, -b, beta)
     return TwoPointCoefficients(
@@ -327,17 +326,10 @@ def two_point_coefficients(tm: TransformedModel,
 def portfolio_risk_two_point(tm: TransformedModel, x: np.ndarray, measure: str,
                              beta: float) -> RiskResult:
     """Chord through the memoized two_point_coefficients; exact at
-    cos(x, gamma0) = +-1.
-
-    gamma0 = 0 degenerates the chord interval, so that case routes to the
-    single elliptical evaluation risk(Y_0), which is exact.
+    cos(x, gamma0) = +-1, and at gamma0 = 0, where the chord is the flat
+    risk(Y_0).
     """
     loc, norm, cos_theta = _portfolio(tm, x, measure, beta)
-    if tm.gamma0_norm == 0.0:
-        tail = h(tm, 0.0, measure, beta)
-        return RiskResult(value=loc + norm * tail, method="two_point",
-                          beta=beta, diagnostics={"cos_theta": cos_theta,
-                                                  "elliptical": True})
     coeffs = two_point_coefficients(tm, beta)
     if measure == "var":
         tail = coeffs.w_plus + coeffs.w_minus * cos_theta
@@ -361,10 +353,6 @@ def portfolio_risk_piecewise(tm: TransformedModel, x: np.ndarray, measure: str,
     if interpolation not in ("step", "linear"):
         raise ValueError(f"unknown interpolation: {interpolation!r}")
     b = tm.gamma0_norm
-    if b == 0.0:
-        tail = h(tm, 0.0, measure, beta)
-        return RiskResult(value=loc + norm * tail, method="piecewise",
-                          beta=beta, diagnostics={"elliptical": True})
     knots = np.asarray(partition, dtype=float)
     pad = 1e-12 * max(1.0, b)
     if knots.ndim != 1 or knots.size < 2 or np.any(np.diff(knots) < 0.0):

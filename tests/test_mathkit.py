@@ -266,38 +266,42 @@ class TestFindRoot:
         assert find_root(f, 1.0, 10.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_no_sign_change(self):
+        # increasing and above 1 everywhere (exp(x) alone underflows to an
+        # exact zero near x = -745, which is a root in floating point)
         with pytest.raises(BracketError):
-            find_root(lambda x: (x * x + 1.0, 2.0 * x), 0.5, 1.0)
+            find_root(lambda x: (1.0 + math.exp(x), math.exp(x)), 0.5, 1.0)
 
     def test_flat_target_has_no_sign_change(self):
         with pytest.raises(BracketError):
             find_root(lambda x: (1.0, 0.0), 0.5, 1.0)
 
-    def test_flat_start_probes_both_sides(self):
+    def test_flat_start_steps_toward_the_root(self):
         # at x = 60 the upper tail and the density both underflow to 0, so
-        # no slope says which way the root lies
+        # there is no slope, but f > 0 says the root lies below
         calls = []
 
         def f(x):
             calls.append(x)
-            return (normal_cdf(-x) - 0.05,
-                    -math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi))
+            return (0.05 - normal_cdf(-x),
+                    math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi))
 
         assert find_root(f, 60.0, 10.0) == pytest.approx(
             1.6448536269514722, abs=1e-12)
-        assert min(calls) < 60.0 < max(calls)
+        assert max(calls) <= 60.0
+
+    def test_decreasing_target_rejected(self):
+        with pytest.raises(ValueError, match="nondecreasing"):
+            find_root(lambda x: (2.0 - x, -1.0), 0.0, 1.0)
 
     def test_idempotent(self):
         f = self.normal_cdf_minus(0.3)
-        root = find_root(f, 0.0, 10.0, tol=1e-12)
-        again = find_root(f, root, 1e-6, tol=1e-12)
+        root = find_root(f, 0.0, 10.0)
+        again = find_root(f, root, 1e-6)
         assert again == pytest.approx(root, abs=1e-12)
 
     def test_bracket_validation(self):
-        # the start point and step open the bracket search, tol closes it
-        for x0, step, tol in [(0.0, 1.0, 0.0), (0.0, 1.0, -1e-12),
-                              (0.0, 0.0, 1e-12), (0.0, -1.0, 1e-12),
-                              (0.0, math.inf, 1e-12), (0.0, math.nan, 1e-12),
-                              (math.nan, 1.0, 1e-12)]:
+        # the start point and step open the bracket search
+        for x0, step in [(0.0, 0.0), (0.0, -1.0), (0.0, math.inf),
+                         (0.0, math.nan), (math.nan, 1.0)]:
             with pytest.raises(ValueError):
-                find_root(lambda x: (x, 1.0), x0, step, tol=tol)
+                find_root(lambda x: (x, 1.0), x0, step)

@@ -167,6 +167,15 @@ class TestVarYa:
                                        beta)
             assert passes <= 7
 
+    @pytest.mark.parametrize("mixing", [Gamma(0.3, 5.0), Gamma(0.5, 0.5),
+                                        Gig(0.2, 0.0, 1.0)],
+                             ids=["gamma-0.3", "gamma-0.5", "gig-gamma"])
+    def test_cusp_passes(self, mixing):
+        # f_0 is unbounded at 0, so the median of Y_a near a = 0 gets no
+        # usable slope and is bisected; no pass probes the wrong side
+        _, passes = riskmod._solve(YaLaw(1e-300, mixing), "var", 0.5)
+        assert passes <= 42
+
     @pytest.mark.parametrize("mixing", [MIXING_REF, InverseGaussian(1.0, 1.0),
                                         Degenerate()],
                              ids=["gig", "ig", "degenerate"])
@@ -176,9 +185,9 @@ class TestVarYa:
         objectives, passes = [], []
         orig_root, orig_expect = riskmod.find_root, type(mixing).expect
 
-        def captured(f, x0, step, tol):
+        def captured(f, x0, step):
             objectives.append(f)
-            return orig_root(f, x0, step, tol)
+            return orig_root(f, x0, step)
 
         def counted(self, f, spec=None):
             passes.append(f)
@@ -191,8 +200,8 @@ class TestVarYa:
         passes.clear()
         value, slope = objectives[0](1.2)
         assert len(passes) == 1
-        assert (value + beta, -slope) == pytest.approx((cdf, density),
-                                                       rel=1e-8, abs=1e-10)
+        assert (value, slope) == pytest.approx((beta - cdf, density),
+                                               rel=1e-8, abs=1e-10)
 
 
 class TestCvarYa:
@@ -323,11 +332,11 @@ class TestPortfolioRiskExact:
         abscissae = []
         orig = riskmod.find_root
 
-        def recorded(f, x0, step, tol):
+        def recorded(f, x0, step):
             def g(y):
                 abscissae.append(y)
                 return f(y)
-            return orig(g, x0, step, tol)
+            return orig(g, x0, step)
 
         monkeypatch.setattr(riskmod, "find_root", recorded)
         x = tm_location.x_from_weights(np.array([0.1, 0.4, 0.2, 0.1, 0.2]))
@@ -436,12 +445,16 @@ class TestTwoPoint:
         approx = portfolio_risk_two_point(tm, x, "cvar", 0.05).value
         assert approx == pytest.approx(exact, abs=1e-8)
 
-    def test_coefficients_require_skewed_model(self, location_model):
+    def test_coefficients_flat_without_skew(self, location_model):
+        # at b = 0 both chord ends are Y_0, one memo entry
         model = nr.NmvmModel(mu=location_model.mu, gamma=np.zeros(5),
                              sigma=location_model.sigma,
                              mixing=location_model.mixing)
-        with pytest.raises(ValueError):
-            two_point_coefficients(transform(model), 0.1)
+        tm = transform(model)
+        coeffs = two_point_coefficients(tm, 0.1)
+        assert (coeffs.w_plus, coeffs.w_minus, coeffs.v_plus,
+                coeffs.v_minus, coeffs.b) == (
+            h(tm, 0.0, "var", 0.1), 0.0, h(tm, 0.0, "cvar", 0.1), 0.0, 0.0)
 
 
 class TestPiecewise:
