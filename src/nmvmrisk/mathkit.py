@@ -203,10 +203,9 @@ def integrate_semi_infinite(f: Callable, spec: QuadratureSpec | None = None):
 # bisections that take the widest bracket they reach (2^60 steps of order 1)
 # down to 1e-12
 _MAX_ROOT_STEPS = 200
-# the root tolerance: an absolute part, and a relative part as in brentq, a
-# few units in the last place, below which neither a step nor a bisection
-# can move x
 _ROOT_TOL = 1e-12
+# relative part of the root tolerance, as in brentq: a few units in the last
+# place, below which neither a step nor a bisection can move x
 _ROOT_RTOL = 4.0 * np.finfo(float).eps
 
 

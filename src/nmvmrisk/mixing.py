@@ -93,18 +93,23 @@ class MixingLaw:
     def moments(self) -> MixingMoments:
         raise NotImplementedError
 
+    def scale(self) -> float:
+        """A typical size of Z, finite for every law: EZ where it exists."""
+        raise NotImplementedError
+
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """n i.i.d. draws using the caller-owned generator."""
         raise NotImplementedError
 
     def expect(self, f: Callable, spec: QuadratureSpec | None = None):
-        """E[f(Z)] by quadrature of f(s) times the density for s > 0 (the
-        nodes are all positive); f maps arrays elementwise. An f that
-        returns shape (k, n) for n nodes gives the k expectations as an
-        array, from one quadrature on shared nodes."""
+        """E[f(Z)] by quadrature over u > 0 of c f(c u) p(c u), p the density
+        and c = scale(), the unit of the quadrature map; f maps arrays
+        elementwise. An f that returns shape (k, n) for n nodes gives the k
+        expectations as an array, from one quadrature on shared nodes."""
+        c = self.scale()
         with np.errstate(under="ignore"):
             return integrate_semi_infinite(
-                lambda s: f(s) * self._density_pos(s), spec)
+                lambda u: c * f(c * u) * self._density_pos(c * u), spec)
 
     @staticmethod
     def _check_count(n: int):
@@ -187,6 +192,16 @@ class Gig(MixingLaw):
     def moments(self) -> MixingMoments:
         return self._moments
 
+    def scale(self) -> float:
+        return self._scale
+
+    @cached_property
+    def _scale(self) -> float:
+        # EZ is infinite for psi = 0, lam >= -1: take the inverse-gamma mode
+        if self.psi == 0.0 and self.lam >= -1.0:
+            return self.chi / (2.0 * (1.0 - self.lam))
+        return self.raw_moment(1.0)
+
     @cached_property
     def _moments(self) -> MixingMoments:
         """moments(), computed once per instance; a MomentError is not
@@ -241,6 +256,9 @@ class Gamma(MixingLaw):
         ez3 = a * (a + 1.0) * (a + 2.0) / b ** 3
         return MixingMoments(ez=ez, ez2=ez2, ez3=ez3, var=var, m3=m3, m4=m4)
 
+    def scale(self) -> float:
+        return self.shape / self.rate
+
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         self._check_count(n)
         return rng.gamma(self.shape, 1.0 / self.rate, size=n)
@@ -285,6 +303,9 @@ class InverseGaussian(MixingLaw):
         ez2 = var + ez * ez
         ez3 = 3.0 * d / g ** 5 + 3.0 * d * d / g ** 4 + (d / g) ** 3
         return MixingMoments(ez=ez, ez2=ez2, ez3=ez3, var=var, m3=m3, m4=m4)
+
+    def scale(self) -> float:
+        return self.delta / self.gamma_ig
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         # rng.wald is the Michael-Schucany-Haas transform sampler

@@ -151,14 +151,15 @@ def _density_ya_gig(mixing: Gig, a: float, y: float) -> float:
 def var_ya(law: YaLaw, beta: float) -> float:
     """y_beta(a): the VaR of Y_a, i.e. the negated upper beta-quantile.
 
-    Solves P(Y_a <= -y) = beta by safeguarded Newton iteration (find_root,
-    to 1e-12 in y) from the quantile of the normal law with Y_a's mean and
-    variance, y0 = -(a EZ + sqrt(EZ + a^2 Var Z) Phi^-1(beta)). Each step is
-    one mixture quadrature pass that gives the CDF and the density of Y_a
-    together. A step that would leave the bracket becomes a bisection; while
-    the quantile is not yet bracketed it becomes a step of one standard
-    deviation of Y_a, doubled each time (at most 60, for heavy-tailed mixing
-    at small beta). Y_0 is symmetric, so its median is 0 without a solve.
+    Solves beta - P(Y_a <= -y) = 0, increasing in y with slope f_a(-y), by
+    safeguarded Newton iteration (find_root, to 1e-12 in y) from the normal
+    quantile y0 = -(a EZ + sqrt(EZ + a^2 Var Z) Phi^-1(beta)) of Y_a's mean
+    and variance. Each step is one mixture quadrature pass that gives the
+    CDF and the density of Y_a together. A step that would leave the bracket
+    becomes a bisection; while the quantile is not yet bracketed it becomes
+    a step of one standard deviation of Y_a toward it, doubled each time (at
+    most 60, for heavy-tailed mixing at small beta). Y_0 is symmetric, so
+    its median is 0 without a solve.
     """
     _check_beta(beta)
     return _solve(law, "var", beta)[0]
@@ -310,8 +311,7 @@ def two_point_coefficients(tm: TransformedModel,
 
     The two endpoint entries come from the scalar-risk memo that h uses, so
     repeated calls for one mixing law and level solve nothing anew. At
-    b = 0 both endpoints are Y_0, one memo entry, and the chord is flat
-    (w_minus = v_minus = 0).
+    b = 0 both ends are Y_0, one memo entry: the chord is flat.
     """
     _check_beta(beta)
     b = tm.gamma0_norm

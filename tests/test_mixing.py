@@ -312,8 +312,18 @@ class TestExpectationOperator:
         def f(s):
             return np.sqrt(s) * np.exp(-k * s)
 
+        c = law.scale()
         assert law.expect(f) == integrate_semi_infinite(
-            lambda s: f(s) * law.density(s))
+            lambda u: c * f(c * u) * law.density(c * u))
+
+    def test_scale_is_the_mean_or_the_inverse_gamma_mode(self):
+        assert Gamma(2.0, 4.0).scale() == 0.5
+        assert InverseGaussian(3.0, 2.0).scale() == 1.5
+        assert GIG_REF.scale() == GIG_REF.moments().ez
+        # EZ = (chi/2)/(-lam - 1) is finite below lam = -1 only
+        assert Gig(-2.0, 2.0, 0.0).scale() == pytest.approx(1.0, rel=1e-15)
+        assert Gig(-1.0, 2.0, 0.0).scale() == 0.5
+        assert Gig(-0.5, 1.5, 0.0).scale() == 0.5
 
     def test_gig_normalizer_computed_once_per_law(self, monkeypatch):
         calls = []
