@@ -110,8 +110,7 @@ def _cmd_risk(args) -> int:
             b = tm.gamma0_norm
             partition = np.linspace(-b, b, args.partition_points)
             result = riskmod.portfolio_risk_piecewise(
-                tm, x, measure, args.beta, partition,
-                interpolation="linear")
+                tm, x, measure, args.beta, partition)
     record = {
         "value": result.value,
         "method": result.method,

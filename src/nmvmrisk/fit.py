@@ -346,8 +346,9 @@ def mcecm_fit(rm: ReturnsMatrix, cfg: FitConfig | None = None,
         else:
             gamma = x.mean(axis=0) / delta_bar
         centered = x - mu
-        sigma = (eta[:, None, None] * np.einsum("ti,tj->tij", centered,
-                                                centered)).mean(axis=0) \
+        # O(T n) memory; keep einsum's default optimize=False: a matmul or
+        # an optimized contraction adds in another order and moves the fit
+        sigma = np.einsum("ti,tj,t->ij", centered, centered, eta) / t \
             - delta_bar * np.outer(gamma, gamma)
         sigma = 0.5 * (sigma + sigma.T)
         eigvals = np.linalg.eigvalsh(sigma)

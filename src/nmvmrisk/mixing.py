@@ -329,6 +329,9 @@ class Degenerate(MixingLaw):
     def moments(self) -> MixingMoments:
         return MixingMoments(ez=1.0, ez2=1.0, ez3=1.0, var=0.0, m3=0.0, m4=0.0)
 
+    def scale(self) -> float:
+        return 1.0
+
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         self._check_count(n)
         return np.ones(n)

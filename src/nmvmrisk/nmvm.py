@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mixing import MixingLaw, MomentError
+from .mixing import MixingLaw
 
 __all__ = [
     "NotSpdError",
@@ -212,8 +212,9 @@ def portfolio_moments(tm: TransformedModel, x: np.ndarray) -> PortfolioMoments:
         Kurt = (c^4 m4(Z) + 6 c^2 (EZ^3 - 2 EZ^2 EZ + EZ^3) + 3 EZ^2)
                / (c^2 Var(Z) + EZ)^2
 
-    Skew and Kurt depend on x only through phi. Raises MomentError when the
-    mixing law lacks the needed moments.
+    Skew and Kurt depend on x only through phi. Kurt is +inf when E[Z^4] is
+    infinite and c != 0; at c = 0 it is 3 EZ^2 / (EZ)^2 for every law. Raises
+    MomentError when the mixing law lacks E[Z^3].
     """
     x = np.asarray(x, dtype=float)
     norm = float(np.linalg.norm(x))
@@ -226,10 +227,12 @@ def portfolio_moments(tm: TransformedModel, x: np.ndarray) -> PortfolioMoments:
     denom = c * c * mm.var + mm.ez
     std = norm * math.sqrt(denom)
     skew = (c ** 3 * mm.m3 + 3.0 * c * mm.var) / denom ** 1.5
-    if mm.m4 is None:
-        raise MomentError("kurtosis requires a finite fourth mixing moment")
+    if mm.m4 is not None:
+        fourth = c ** 4 * mm.m4
+    else:
+        fourth = math.inf if c != 0.0 else 0.0
     central_z3 = mm.ez3 - 2.0 * mm.ez2 * mm.ez + mm.ez ** 3
-    kurt = (c ** 4 * mm.m4 + 6.0 * c * c * central_z3 + 3.0 * mm.ez2) / denom ** 2
+    kurt = (fourth + 6.0 * c * c * central_z3 + 3.0 * mm.ez2) / denom ** 2
     return PortfolioMoments(std=std, skew=skew, kurt=kurt)
 
 

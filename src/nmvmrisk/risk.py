@@ -341,16 +341,16 @@ def portfolio_risk_two_point(tm: TransformedModel, x: np.ndarray, measure: str,
 
 def portfolio_risk_piecewise(tm: TransformedModel, x: np.ndarray, measure: str,
                              beta: float, partition,
-                             interpolation: str = "step") -> RiskResult:
-    """Approximate risk with a step (or piecewise-linear) surrogate for
+                             interpolation: str = "linear") -> RiskResult:
+    """Approximate risk with the piecewise-linear interpolant of
     a -> risk(Y_a) on a partition of [-b, b].
 
-    "step" holds each cell at its left endpoint value; "linear" interpolates
-    between knots, which for the convex scalar risk is an upper chord on each
-    cell and reduces to the two-point method on the partition {-b, b}.
+    For the convex scalar risk the interpolant is an upper chord on each cell,
+    and it reduces to the two-point method on the partition {-b, b}.
+    "linear" is the only interpolation.
     """
     loc, norm, cos_theta = _portfolio(tm, x, measure, beta)
-    if interpolation not in ("step", "linear"):
+    if interpolation != "linear":
         raise ValueError(f"unknown interpolation: {interpolation!r}")
     b = tm.gamma0_norm
     knots = np.asarray(partition, dtype=float)
@@ -362,13 +362,7 @@ def portfolio_risk_piecewise(tm: TransformedModel, x: np.ndarray, measure: str,
         raise ValueError(
             f"partition must cover [-b, b] = [{-b}, {b}] exactly")
     values = np.array([h(tm, float(k), measure, beta) for k in knots])
-    a = b * cos_theta
-    if interpolation == "linear":
-        tail = float(np.interp(a, knots, values))
-    else:
-        idx = int(np.searchsorted(knots, a, side="right")) - 1
-        idx = min(max(idx, 0), knots.size - 2)
-        tail = float(values[idx])
+    tail = float(np.interp(b * cos_theta, knots, values))
     return RiskResult(value=loc + norm * tail, method="piecewise", beta=beta,
                       diagnostics={"knots": knots.size,
                                    "interpolation": interpolation})

@@ -1,12 +1,17 @@
-"""Shared fixtures: the two five-stock reference models and their transforms."""
+"""Shared fixtures: the two five-stock reference models and their transforms,
+and a derandomized hypothesis profile so every run draws the same examples."""
 
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 import nmvmrisk as nr
 
 DATA_DIR = Path(__file__).parent / "data"
+
+settings.register_profile("repeatable", derandomize=True, database=None)
+settings.load_profile("repeatable")
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -369,6 +370,36 @@ class TestMcecm:
                            values=np.zeros((3, 3)))
         with pytest.raises(ValueError):
             mcecm_fit(rm, FitConfig(max_iters=1))
+
+    @pytest.mark.parametrize("t,n", [(20000, 3), (5000, 30), (4999, 7)])
+    def test_dispersion_sum_matches_outer_product_mean(self, t, n):
+        # the unoptimized three-operand einsum of the Sigma update adds the
+        # same products in the same order as the mean of eta-weighted outer
+        # products; fits stay bit-identical only while this holds
+        rng = np.random.default_rng(t + n)
+        centered = rng.standard_normal((t, n))
+        eta = rng.gamma(2.0, 1.0, t)
+        outer = np.einsum("ti,tj->tij", centered, centered)
+        reference = (eta[:, None, None] * outer).mean(axis=0)
+        assert np.array_equal(
+            np.einsum("ti,tj,t->ij", centered, centered, eta) / t, reference)
+
+    def test_memory_below_one_outer_product_tensor(self):
+        t, n = 5000, 30
+        rng = np.random.default_rng(37)
+        z = SYNTH_MIXING.sample(rng, t)
+        x = 0.01 * np.outer(z, rng.standard_normal(n)) + \
+            0.1 * np.sqrt(z)[:, None] * rng.standard_normal((t, n))
+        rm = ReturnsMatrix(assets=[f"a{i}" for i in range(n)],
+                           dates=[str(i) for i in range(t)], values=x)
+        tracemalloc.start()
+        try:
+            mcecm_fit(rm, FitConfig(max_iters=2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a (T, n, n) float64 array alone takes 8 T n^2 bytes
+        assert peak < 8 * t * n * n
 
     def test_recovery_moderate_sample(self):
         rm = synthetic_returns(8000, seed=31)

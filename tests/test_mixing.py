@@ -325,6 +325,10 @@ class TestExpectationOperator:
         assert Gig(-1.0, 2.0, 0.0).scale() == 0.5
         assert Gig(-0.5, 1.5, 0.0).scale() == 0.5
 
+    def test_degenerate_scale_is_the_point_mass(self):
+        law = Degenerate()
+        assert law.scale() == 1.0 == law.moments().ez
+
     def test_gig_normalizer_computed_once_per_law(self, monkeypatch):
         calls = []
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nmvmrisk as nr
-from nmvmrisk.mixing import Degenerate, Gamma, MomentError
+from nmvmrisk.mixing import Degenerate, Gamma
 from nmvmrisk.nmvm import (NotSpdError, factorize, portfolio_moments, project,
                            skew_derivative, transform)
 
@@ -187,13 +187,20 @@ class TestPortfolioMoments:
         se = estimates.std(ddof=1) / math.sqrt(len(batches))
         assert abs(skew_of(y) - pm.skew) <= 4.0 * se
 
-    def test_kurt_requires_fourth_moment(self):
+    def test_kurt_infinite_without_fourth_moment(self):
+        # inverse gamma of shape 3.6: E[Z^3] finite, E[Z^4] infinite
+        law = nr.Gig(lam=-3.6, chi=1.0, psi=0.0)
         model = nr.NmvmModel(mu=np.zeros(2), gamma=[0.1, 0.0],
-                             sigma=np.eye(2),
-                             mixing=nr.Gig(lam=-3.6, chi=1.0, psi=0.0))
+                             sigma=np.eye(2), mixing=law)
         tm = transform(model, mode="skew")
-        with pytest.raises(MomentError):
-            portfolio_moments(tm, np.array([1.0, 0.0]))
+        aligned = portfolio_moments(tm, np.array([1.0, 0.0]))
+        assert math.isfinite(aligned.skew) and aligned.kurt == math.inf
+        # c = 0: the Gaussian-scale-mixture kurtosis 3 E[Z^2] / EZ^2
+        mm = law.moments()
+        orthogonal = portfolio_moments(tm, np.array([0.0, 1.0]))
+        assert orthogonal.skew == 0.0
+        assert orthogonal.kurt == 3.0 * mm.ez2 / mm.ez ** 2
+        assert orthogonal.kurt == pytest.approx(3.0 * 2.6 / 1.6, rel=1e-12)
 
 
 class TestSkewDerivative:

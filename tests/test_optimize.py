@@ -114,6 +114,15 @@ class TestMeanRiskSkew:
         with pytest.warns(UserWarning):
             solve_mean_risk_skew(tm, 0.01)
 
+    def test_heavy_tail_without_fourth_moment(self, skew_model):
+        # the skewness needs E[Z^3] only; the kurtosis is then +inf
+        tm = _heavy_tail_skew_model(skew_model)
+        sol = solve_mean_risk_skew(tm, 0.002)
+        assert sol.achieved_return == pytest.approx(0.002, abs=1e-12)
+        moments = portfolio_moments(tm, sol.x_star)
+        assert math.isfinite(sol.skewness) and sol.skewness == moments.skew
+        assert moments.kurt == math.inf
+
     def test_factorization_invariance(self, skew_model):
         solutions = []
         for method in ("symmetric_sqrt", "cholesky"):
@@ -128,6 +137,15 @@ class TestMeanRiskSkew:
         x2 = tm2.x_from_weights(sol.omega_star)
         assert portfolio_moments(tm2, x2).skew == pytest.approx(sol.skewness,
                                                                 abs=1e-12)
+
+
+def _heavy_tail_skew_model(skew_model) -> nr.TransformedModel:
+    """The five-stock skew model under an inverse gamma of shape 3.5: E[Z^3]
+    is finite, E[Z^4] is not."""
+    model = nr.NmvmModel(mu=skew_model.mu, gamma=skew_model.gamma,
+                         sigma=skew_model.sigma,
+                         mixing=Gig(lam=-3.5, chi=5.0, psi=0.0))
+    return transform(model, mode="skew")
 
 
 class TestFrontier:
@@ -159,6 +177,16 @@ class TestFrontier:
             assert cvars[i + 1] >= cvars[i] - 1e-10
         for i in range(mid, 0, -1):
             assert cvars[i - 1] >= cvars[i] - 1e-10
+
+    def test_heavy_tail_without_fourth_moment(self, skew_model):
+        tm = _heavy_tail_skew_model(skew_model)
+        pts = frontier(tm, R_GRID, beta=0.05)
+        assert all(p.error is None for p in pts)
+        for r, p in zip(R_GRID, pts):
+            sol = solve_mean_risk_skew(tm, r)
+            assert p.skewness == sol.skewness
+            assert math.isfinite(p.cvar) and math.isfinite(p.skewness)
+            assert np.array_equal(p.weights, sol.omega_star)
 
     def test_failed_points_marked(self):
         model = nr.NmvmModel(mu=np.zeros(3), gamma=np.ones(3) * 0.2,

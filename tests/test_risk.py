@@ -462,7 +462,7 @@ class TestPiecewise:
         b = tm_location.gamma0_norm
         x = tm_location.x_from_weights(np.array([0.1, 0.4, 0.2, 0.1, 0.2]))
         linear = portfolio_risk_piecewise(tm_location, x, "cvar", 0.05,
-                                          [-b, b], interpolation="linear")
+                                          [-b, b])
         chord = portfolio_risk_two_point(tm_location, x, "cvar", 0.05)
         assert linear.value == pytest.approx(chord.value, abs=1e-12)
 
@@ -476,8 +476,7 @@ class TestPiecewise:
         x = tm.x_from_weights(np.array([0.1, 0.4, 0.2, 0.1, 0.2]))
         exact = portfolio_risk_exact(tm, x, "var", 0.05).value
         for knots in ([-b, b], np.linspace(-b, b, 5)):
-            approx = portfolio_risk_piecewise(tm, x, "var", 0.05, knots,
-                                              interpolation="linear")
+            approx = portfolio_risk_piecewise(tm, x, "var", 0.05, knots)
             assert approx.value == pytest.approx(exact, abs=1e-10)
 
     def test_refined_linear_beats_two_point(self, tm_location):
@@ -490,13 +489,29 @@ class TestPiecewise:
             x = tm_location.x_from_weights(omega)
             exact = portfolio_risk_exact(tm_location, x, "var", 0.05).value
             fine = portfolio_risk_piecewise(tm_location, x, "var", 0.05,
-                                            knots,
-                                            interpolation="linear").value
+                                            knots).value
             chord = portfolio_risk_two_point(tm_location, x, "var",
                                              0.05).value
             if abs(fine - exact) > abs(chord - exact) + 1e-12:
                 worse += 1
         assert worse == 0
+
+    def test_linear_is_the_only_rule(self, tm_location):
+        b = tm_location.gamma0_norm
+        knots = np.linspace(-b, b, 5)
+        x = tm_location.x_from_weights(np.array([0.1, 0.4, 0.2, 0.1, 0.2]))
+        default = portfolio_risk_piecewise(tm_location, x, "var", 0.05, knots)
+        linear = portfolio_risk_piecewise(tm_location, x, "var", 0.05, knots,
+                                          interpolation="linear")
+        assert default.value == linear.value
+        assert default.diagnostics["interpolation"] == "linear"
+        values = [h(tm_location, k, "var", 0.05) for k in knots]
+        tail = np.interp(b * tm_location.cos_angle(x), knots, values)
+        loc = -float(x @ tm_location.mu0)
+        assert default.value == loc + float(np.linalg.norm(x)) * float(tail)
+        with pytest.raises(ValueError, match="interpolation"):
+            portfolio_risk_piecewise(tm_location, x, "var", 0.05, knots,
+                                     interpolation="step")
 
     def test_partition_validation(self, tm_location):
         b = tm_location.gamma0_norm
