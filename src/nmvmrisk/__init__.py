@@ -12,7 +12,8 @@ from .nmvm import (NmvmModel, NotSpdError, PortfolioMoments, TransformedModel,
 from .risk import (RiskResult, TwoPointCoefficients, YaLaw, cdf_ya, cvar_ya,
                    cvar_via_F, density_ya, h, mc_risk, portfolio_risk_exact,
                    portfolio_risk_piecewise, portfolio_risk_two_point,
-                   risk_ya, rockafellar_F, two_point_coefficients, var_ya)
+                   risk_ya, risk_ya_and_slope, rockafellar_F,
+                   two_point_coefficients, var_ya)
 from .optimize import (DegenerateConstraintsError, FrontierPoint,
                        HypothesisCheck, QuadraticSolution, ReducedSolution,
                        SingularGramError, check_skew_monotonicity, frontier,

@@ -245,10 +245,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _glue_weights(argv: list[str]) -> list[str]:
+    """Join each --weights flag to the argument after it, which argparse
+    would take for an option when it starts with a minus sign."""
+    glued = []
+    for arg in argv:
+        if glued and glued[-1] == "--weights":
+            glued[-1] = f"--weights={arg}"
+        else:
+            glued.append(arg)
+    return glued
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(
+            _glue_weights(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         # argparse usage problems are input errors
         return EXIT_OK if not exc.code else EXIT_INPUT

@@ -64,6 +64,37 @@ class QuadratureSpec:
 DEFAULT_QUADRATURE = QuadratureSpec()
 
 
+# Debye's polynomials u_1..u_4 (Abramowitz & Stegun 9.3.9): u_k(t) is t^k
+# times a polynomial in t^2, whose coefficients (lowest power first) are
+# listed over its denominator
+_DEBYE_U = (
+    (np.array([3.0, -5.0]), 24.0),
+    (np.array([81.0, -462.0, 385.0]), 1152.0),
+    (np.array([30375.0, -369603.0, 765765.0, -425425.0]), 414720.0),
+    (np.array([4465125.0, -94121676.0, 349922430.0, -446185740.0,
+               185910725.0]), 39813120.0),
+)
+
+
+def _log_bessel_k_debye(nu, x):
+    """log K_nu(x) by the uniform expansion for large orders (A&S 9.7.8),
+    K_nu(nu z) ~ sqrt(pi / (2 nu)) e^(-nu eta) (1 + z^2)^(-1/4)
+    sum_k (-1)^k u_k(t) / nu^k, t = 1/sqrt(1 + z^2),
+    eta = sqrt(1 + z^2) + log(z / (1 + sqrt(1 + z^2))), to u_4; the first
+    omitted term is below double rounding for the orders it serves (a few
+    tens and up, see log_bessel_k)."""
+    z = x / nu
+    w = np.hypot(1.0, z)
+    t = 1.0 / w
+    series = np.ones_like(z)
+    for k, (coeffs, denom) in enumerate(_DEBYE_U, start=1):
+        u = t ** k * np.polynomial.polynomial.polyval(t * t, coeffs) / denom
+        series += (-1.0) ** k * u / nu ** k
+    eta = w + np.log(z) - np.log1p(w)
+    return (0.5 * np.log(0.5 * np.pi / nu) - nu * eta + 0.5 * np.log(t)
+            + np.log(series))
+
+
 def log_bessel_k(order, x):
     """log K_order(x), stable for large x via the exponentially scaled kernel.
 
@@ -71,7 +102,10 @@ def log_bessel_k(order, x):
     x^2 < 4 eps (|nu| - 1), so that the next term of the small-argument
     series is below double rounding, the leading term
     lgamma(|nu|) - log 2 + |nu| log(2/x) (Abramowitz & Stegun 9.6.9) is
-    used; any other overflow gives +inf.
+    used; any other overflow takes Debye's uniform expansion in the order
+    (A&S 9.7.8). kve overflows outside the small-argument range only at
+    orders of a few tens and up, where that expansion is exact to double
+    rounding.
     """
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
@@ -84,7 +118,13 @@ def log_bessel_k(order, x):
     leading = np.isinf(k) & (
         x < 2.0 * np.sqrt(np.finfo(float).eps * np.maximum(nu - 1.0, 0.0)))
     small = _sspec.gammaln(nu) - log_2 + nu * (log_2 - np.log(x))
-    return np.where(leading, small, np.log(k) - x)
+    out = np.where(leading, small, np.log(k) - x)
+    debye = np.isinf(k) & ~leading
+    if debye.any():
+        out[debye] = _log_bessel_k_debye(
+            np.broadcast_to(nu, out.shape)[debye],
+            np.broadcast_to(x, out.shape)[debye])
+    return out
 
 
 def normal_cdf(x: float) -> float:
@@ -122,9 +162,10 @@ _GK_WEIGHTS_G = np.array([
 ])
 
 
-def _eval_panel(f: Callable, lo: float, hi: float):
+def _eval_panel(f: Callable, lo: float, hi: float, riders: int):
     """Gauss-Kronrod estimates of int_lo^hi f(s(t)) s'(t) dt, s = t/(1-t),
-    their gap, and the largest gap, which orders the panels for splitting.
+    the gap of each but the last `riders` of them, and the largest gap,
+    which orders the panels for splitting.
 
     A scalar integrand gives np.float64 scalars; one of shape (k, 15) gives
     length-k arrays.
@@ -140,8 +181,13 @@ def _eval_panel(f: Callable, lo: float, hi: float):
     if not np.isfinite(y).all():
         raise QuadratureError(f"integrand is not finite on the panel t in "
                               f"[{lo}, {hi}], s = t/(1-t)", np.nan, np.inf)
-    val_k = half * (y @ _GK_WEIGHTS_K)
-    err = np.abs(val_k - half * (y @ _GK_WEIGHTS_G))
+    # the riders get products of their own: a matrix-vector product may
+    # round a row differently when the matrix has more rows
+    steer = y[:-riders] if riders else y
+    val_k = half * (steer @ _GK_WEIGHTS_K)
+    err = np.abs(val_k - half * (steer @ _GK_WEIGHTS_G))
+    if riders:
+        val_k = np.concatenate([val_k, half * (y[-riders:] @ _GK_WEIGHTS_K)])
     return val_k, err, float(err.max())
 
 
@@ -150,7 +196,8 @@ def _converged(total, bound, spec: QuadratureSpec) -> bool:
         bound <= np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))))
 
 
-def integrate_semi_infinite(f: Callable, spec: QuadratureSpec | None = None):
+def integrate_semi_infinite(f: Callable, spec: QuadratureSpec | None = None,
+                            riders: int = 0):
     """Integrate f over (0, inf) to the tolerances in spec.
 
     Uses the substitution s = t/(1-t) mapping (0, inf) onto (0, 1), then
@@ -163,7 +210,10 @@ def integrate_semi_infinite(f: Callable, spec: QuadratureSpec | None = None):
     result is then a length-k array, every component meets the tolerance,
     and the panel with the largest component error is split first. A
     scalar integrand takes the same path (the dot product of two 1-D arrays
-    is the same sum) and gives an np.float64, a float subclass.
+    is the same sum) and gives an np.float64, a float subclass. The last
+    `riders` of the k components ride on the panels the others choose: they
+    neither order the splits nor enter the tolerance test, so adding them
+    leaves the other components bit for bit as they were.
 
     Raises QuadratureError (carrying the best estimate and bound) if the
     subdivision budget is exhausted first, and at the first panel where the
@@ -177,13 +227,13 @@ def integrate_semi_infinite(f: Callable, spec: QuadratureSpec | None = None):
     edges = np.linspace(0.0, 1.0, n_seed + 1)
     panels = []
     for lo, hi in zip(edges[:-1], edges[1:]):
-        val, err, key = _eval_panel(f, lo, hi)
+        val, err, key = _eval_panel(f, lo, hi, riders)
         panels.append((key, lo, hi, val, err))
 
     while True:
         total = sum(p[3] for p in panels)
         bound = sum(p[4] for p in panels)
-        if _converged(total, bound, spec):
+        if _converged(total[:-riders] if riders else total, bound, spec):
             break
         if len(panels) >= spec.max_subdivisions:
             raise QuadratureError(
@@ -194,7 +244,7 @@ def integrate_semi_infinite(f: Callable, spec: QuadratureSpec | None = None):
         _, lo, hi, _, _ = panels.pop()
         mid = 0.5 * (lo + hi)
         for a_, b_ in ((lo, mid), (mid, hi)):
-            val, err, key = _eval_panel(f, a_, b_)
+            val, err, key = _eval_panel(f, a_, b_, riders)
             panels.append((key, a_, b_, val, err))
     return total
 

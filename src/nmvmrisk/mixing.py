@@ -101,15 +101,19 @@ class MixingLaw:
         """n i.i.d. draws using the caller-owned generator."""
         raise NotImplementedError
 
-    def expect(self, f: Callable, spec: QuadratureSpec | None = None):
+    def expect(self, f: Callable, spec: QuadratureSpec | None = None,
+               riders: int = 0):
         """E[f(Z)] by quadrature over u > 0 of c f(c u) p(c u), p the density
         and c = scale(), the unit of the quadrature map; f maps arrays
         elementwise. An f that returns shape (k, n) for n nodes gives the k
-        expectations as an array, from one quadrature on shared nodes."""
+        expectations as an array, from one quadrature on shared nodes, whose
+        last `riders` components ride on the panels the others choose (see
+        integrate_semi_infinite)."""
         c = self.scale()
         with np.errstate(under="ignore"):
             return integrate_semi_infinite(
-                lambda u: c * f(c * u) * self._density_pos(c * u), spec)
+                lambda u: c * f(c * u) * self._density_pos(c * u), spec,
+                riders)
 
     @staticmethod
     def _check_count(n: int):
@@ -336,7 +340,8 @@ class Degenerate(MixingLaw):
         self._check_count(n)
         return np.ones(n)
 
-    def expect(self, f: Callable, spec: QuadratureSpec | None = None):
+    def expect(self, f: Callable, spec: QuadratureSpec | None = None,
+               riders: int = 0):
         val = np.asarray(f(np.array([1.0])), dtype=float)[..., 0]
         return val if val.ndim else float(val)
 

@@ -5,7 +5,8 @@ collapses to min ||x||^2 whenever the mixing law keeps skewness monotone in
 the alignment angle; the solution is the two-constraint least-norm point
 x = (s/2) m + (t/2) e_A. The mean-risk problem with a return floor reduces to
 two dimensions (the coordinates of x along mu0 and gamma0), where it is
-solved by one SLSQP run with the return floor as a linear constraint.
+solved by one SLSQP run with the return floor as a linear constraint and the
+analytic gradient.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from .mixing import skew_condition
 from .nmvm import TransformedModel, portfolio_moments, skew_derivative
 from .risk import (YaLaw, _check_beta, _check_measure, portfolio_risk_exact,
-                   risk_ya)
+                   risk_ya_and_slope)
 
 __all__ = [
     "DegenerateConstraintsError",
@@ -139,7 +140,7 @@ def frontier(tm: TransformedModel, r_grid,
     return points
 
 
-_SLSQP_OPTIONS = {"ftol": 1e-15, "maxiter": 200}
+_SLSQP_OPTIONS = {"ftol": 1e-13, "maxiter": 200}
 
 
 def solve_mean_risk_reduced(tm: TransformedModel, measure: str, beta: float,
@@ -151,12 +152,16 @@ def solve_mean_risk_reduced(tm: TransformedModel, measure: str, beta: float,
     zero direction vectors drop out of the basis (the elliptical and
     no-location special cases), while genuinely collinear ones raise
     SingularGramError. The reduced problem is convex for CVaR, so one SLSQP
-    solve with the return floor as a linear constraint replaces any search;
-    each coordinate is scaled by its direction's reach so that SLSQP's
-    absolute finite-difference steps fit the problem. The solve starts from
-    the least-norm portfolio at the return floor, and that anchor is also the
-    fallback: a result that is infeasible or worse than the anchor (possible
-    for VaR, which is not convex) is replaced by it.
+    solve with the return floor as a linear constraint replaces any search.
+    SLSQP gets the analytic gradient: the objective -x^T mu0 +
+    sqrt(v^T G^-1 v) risk(Y_a) and its slope in a come from one scalar-risk
+    solve per point (risk_ya_and_slope), and the chain rule through
+    a = x^T gamma0 / ||x|| gives the rest. Each coordinate is scaled by its
+    direction's reach, so that the variables SLSQP moves are of order one.
+    The solve starts from the least-norm portfolio at the return floor, and
+    that anchor is also the fallback: a result that is infeasible or worse
+    than the anchor (possible for VaR, which is not convex, or where a VaR
+    slope is not finite) is replaced by it.
 
     grid_size has no effect: the convex solve needs no search grid. It is
     still accepted so that callers written for the former grid search keep
@@ -196,13 +201,25 @@ def solve_mean_risk_reduced(tm: TransformedModel, measure: str, beta: float,
             f"direction vectors are collinear: cond(G)={np.linalg.cond(gram):.3e}")
     g_inv = np.linalg.inv(gram)
 
-    def objective(u: np.ndarray) -> float:
+    # unit vectors of the mu0 and gamma0 coordinates among the kept ones
+    e_mu = np.zeros(len(scale))
+    e_gamma = np.zeros(len(scale))
+    if has_mu:
+        e_mu[0] = 1.0
+    if has_gamma:
+        e_gamma[-1] = 1.0
+
+    def objective(u: np.ndarray) -> tuple[float, np.ndarray]:
+        # f = -mu_t + sg R(a), sg = sqrt(v^T G^-1 v), a = gam_t / sg: the
+        # gradient is -e_mu + dsg R + sg R'(a) da, da = (e_gamma - a dsg)/sg
         v = np.append(u, 1.0)
-        sg = math.sqrt(float(v @ g_inv @ v))
-        mu_t = float(u[0]) if has_mu else 0.0
-        gam_t = float(u[-1]) if has_gamma else 0.0
-        a = min(max(gam_t / sg, -b), b)
-        return -mu_t + sg * risk_ya(YaLaw(a, tm.mixing), measure, beta)
+        g_v = g_inv @ v
+        sg = math.sqrt(float(v @ g_v))
+        dsg = g_v[:-1] / sg
+        a = min(max(float(e_gamma @ u) / sg, -b), b)
+        r, slope = risk_ya_and_slope(YaLaw(a, tm.mixing), measure, beta)
+        grad = -e_mu + dsg * r + slope * (e_gamma - a * dsg)
+        return -float(e_mu @ u) + sg * r, grad
 
     # anchor: least-norm x with x^T m = k, x^T e_A = 1; when m is parallel to
     # e_A, every x with x^T e_A = 1 earns the same return, and the least-norm
@@ -225,11 +242,17 @@ def solve_mean_risk_reduced(tm: TransformedModel, measure: str, beta: float,
     if u_best.size:
         # imported here: scipy.optimize adds ~0.3 s to every package import
         from scipy.optimize import minimize
-        # a memo for this solve: SLSQP's first evaluation is the anchor
-        scaled = functools.cache(lambda z: objective(np.array(z) * scale))
-        best = scaled(tuple(z0))
+        # a memo for this solve: SLSQP's first evaluation is the anchor, and
+        # its fun and jac at one point share a solve
+        @functools.cache
+        def scaled(z: tuple) -> tuple[float, np.ndarray]:
+            value, grad = objective(np.array(z) * scale)
+            return value, grad * scale
+
+        best = scaled(tuple(z0))[0]
         res = minimize(
-            lambda z: scaled(tuple(z)), z0, method="SLSQP",
+            lambda z: scaled(tuple(z))[0], z0, method="SLSQP",
+            jac=lambda z: scaled(tuple(z))[1],
             constraints=[{"type": "ineq",
                           "fun": lambda z: float(ret_row @ (z * scale)) - k,
                           "jac": lambda z: ret_row * scale}],

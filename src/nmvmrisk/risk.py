@@ -14,7 +14,15 @@ each pass and reads, at its last abscissa y,
     CVaR_beta(Y_a) = y + (-T(y) - y F(-y)) / beta,
 
 the auxiliary function of Rockafellar & Uryasev (2000), which is stationary
-in y at y_beta(a). A portfolio with x = A^T omega then has
+in y at y_beta(a). Both measures have a-derivatives that are mixture
+integrals on the same nodes, z at the solved y:
+
+    d y_beta/da    = -E[ sqrt(Z) phi(z) ] / E[ phi(z) / sqrt(Z) ],
+    d CVaR_beta/da = -E[ Z Phi(z) ] / beta,
+
+the first from differentiating the quantile equation (Hong 2009), the second
+because the auxiliary function is stationary in y, so only its explicit
+dependence on a counts. A portfolio with x = A^T omega then has
 
     risk(omega^T X) = -x^T mu0 + ||x|| * risk(Y_a),
     a = ||gamma0|| * cos(x, gamma0),
@@ -47,6 +55,7 @@ __all__ = [
     "var_ya",
     "cvar_ya",
     "risk_ya",
+    "risk_ya_and_slope",
     "h",
     "portfolio_risk_exact",
     "two_point_coefficients",
@@ -171,13 +180,15 @@ def cvar_ya(law: YaLaw, beta: float) -> float:
     return _solve(law, "cvar", beta)[0]
 
 
-def _solve(law: YaLaw, measure: str, beta: float,
-           start: float | None = None) -> tuple[float, int]:
-    """(risk(Y_a), its number of mixture quadrature passes), solved from
-    `start` (default: the normal quantile). Each Newton pass at y integrates
-    the CDF F and the density of Y_a at -y on shared nodes and, for CVaR
-    only, the tail T = E[Y_a; Y_a <= -y]; the CVaR is read at the last
-    abscissa x as x + (-T - x F)/beta, which is stationary at the VaR."""
+def _solve(law: YaLaw, measure: str, beta: float, start: float | None = None,
+           slope: bool = False) -> tuple[float, int, float]:
+    """(risk(Y_a), its number of mixture quadrature passes, d risk(Y_a)/da),
+    solved from `start` (default: the normal quantile). Each Newton pass at
+    y integrates the CDF F and the density of Y_a at -y on shared nodes and,
+    for CVaR only, the tail T = E[Y_a; Y_a <= -y]; the CVaR is read at the
+    last abscissa x as x + (-T - x F)/beta, which is stationary at the VaR.
+    With `slope`, each pass adds the row of the a-derivative (see the module
+    docstring), read at the last abscissa; without it the slope is nan."""
     a = law.a
     tail = measure == "cvar"
     passes = 0
@@ -188,10 +199,17 @@ def _solve(law: YaLaw, measure: str, beta: float,
             root = np.sqrt(s)
             z = (-y - a * s) / root
             cdf = _sspec.ndtr(z)
-            out = [cdf, np.exp(-0.5 * z * z) / root]
+            gauss = np.exp(-0.5 * z * z)
+            out = [cdf, gauss / root]
             if tail:
                 out.append(s * (a * cdf - out[1] / _SQRT_2PI))
-            return np.stack(out if density else out[::2])
+            if slope:
+                out.append(s * cdf if tail else root * gauss)
+            return np.stack(out if density else [cdf, *out[2:]])
+        if slope:
+            # the slope row rides on the priced rows' panels, so the value
+            # is the slope-free solve's, bit for bit
+            return law.mixing.expect(integrand, riders=1)
         return law.mixing.expect(integrand)
 
     def objective(y):
@@ -207,12 +225,12 @@ def _solve(law: YaLaw, measure: str, beta: float,
             passes += 1
             (cdf, *rest), density = rows(y, False), math.nan
         cdf = min(max(float(cdf), 0.0), 1.0)
-        last = y, cdf, rest
+        last = y, cdf, density, rest
         return beta - cdf, float(density) / _SQRT_2PI
 
     if a == 0.0 and beta == 0.5:
         root = 0.0  # the median of the symmetric Y_0
-        if tail:
+        if tail or slope:
             objective(root)
     else:
         mm = law.mixing.moments()
@@ -225,16 +243,33 @@ def _solve(law: YaLaw, measure: str, beta: float,
             raise ArithmeticError(
                 f"could not bracket the {beta}-quantile of Y_a (a={a}): "
                 f"{exc}") from exc
-    if not tail:
-        return root, passes
-    x, cdf, (t,) = last
-    return x + (-float(t) - x * cdf) / beta, passes
+    value = root
+    if tail:
+        x, cdf, _, (t, *_) = last
+        value = x + (-float(t) - x * cdf) / beta
+    if not slope:
+        return value, passes, math.nan
+    # the slope row over -beta for CVaR, over minus the density row for VaR
+    _, _, density, rest = last
+    over = beta if tail else float(density)
+    return value, passes, -float(rest[-1]) / over if over > 0.0 else math.nan
 
 
 def risk_ya(law: YaLaw, measure: str, beta: float) -> float:
     _check_measure(measure)
     _check_beta(beta)
     return _solve(law, measure, beta)[0]
+
+
+def risk_ya_and_slope(law: YaLaw, measure: str,
+                      beta: float) -> tuple[float, float]:
+    """(risk(Y_a), d risk(Y_a)/da) from one solve: the value is risk_ya's,
+    and the slope is read at the solve's last abscissa (nan where the
+    density of Y_a there is not finite, for VaR)."""
+    _check_measure(measure)
+    _check_beta(beta)
+    value, _, slope = _solve(law, measure, beta, slope=True)
+    return value, slope
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +332,7 @@ def portfolio_risk_exact(tm: TransformedModel, x: np.ndarray, measure: str,
     DEFAULT_QUADRATURE, whose abs_tol it reports."""
     loc, norm, cos_theta = _portfolio(tm, x, measure, beta)
     a = tm.gamma0_norm * cos_theta
-    tail, evaluations = _solve(YaLaw(a, tm.mixing), measure, beta)
+    tail, evaluations, _ = _solve(YaLaw(a, tm.mixing), measure, beta)
     return RiskResult(
         value=loc + norm * tail, method="exact_quadrature", beta=beta,
         diagnostics={"a": a, "cos_theta": cos_theta, "scalar_risk": tail,

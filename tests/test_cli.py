@@ -146,6 +146,17 @@ class TestRiskCommand:
         assert code == EXIT_INPUT
         assert "weights" in err
 
+    def test_leading_negative_weight(self, capsys):
+        # "-0.2,..." after a spaced --weights is a value, not an option
+        common = ("--measure", "var", "--beta", "0.05")
+        weights = "-0.2,0.5,0.3,0.2,0.2"
+        code, out, _ = run(capsys, "risk", "--model", MODEL, "--weights",
+                           weights, *common)
+        assert code == EXIT_OK
+        assert run(capsys, "risk", "--model", MODEL, f"--weights={weights}",
+                   *common) == (EXIT_OK, out, "")
+        assert json.loads(out)["value"] > 0.0
+
     @pytest.mark.parametrize("method, bad", [
         ("exact", "nan"), ("two-point", "inf"), ("piecewise", "nan"),
         ("mc", "inf")])

@@ -71,8 +71,11 @@ class TestBesselK:
         with pytest.raises(ValueError):
             log_bessel_k(0.5, -1.0)
 
-    def test_overflow_signals_inf(self):
-        assert log_bessel_k(80.0, 1e-6) == math.inf
+    def test_overflow_at_large_order_uses_debye(self):
+        # kve overflows, and x^2 is too large for the small-argument term;
+        # log K by mpmath at 40 digits
+        assert log_bessel_k(80.0, 1e-6) == pytest.approx(
+            1429.2905695523974, rel=1e-14)
 
     def test_overflow_uses_small_argument_term(self):
         # kve overflows at both; log K by mpmath at 40 digits
@@ -86,10 +89,35 @@ class TestBesselK:
         assert both[0] == log_bessel_k(80.0, 1e-10)
         assert both[1] == log_bessel_k(80.0, 1.0)
 
-    def test_overflow_outside_small_argument_range_signals_inf(self):
-        # kve(300, 10) overflows, but the leading term is 925.678 there
-        # against the true 925.594; inf shows the failure a wrong value hides
-        assert log_bessel_k(300.0, 10.0) == math.inf
+    def test_overflow_outside_small_argument_range_uses_debye(self):
+        # kve(300, 10) overflows, and the leading term is 925.678 there
+        # against the true 925.594 (mpmath at 40 digits)
+        assert log_bessel_k(300.0, 10.0) == pytest.approx(925.5939462449082,
+                                                          rel=1e-14)
+        assert log_bessel_k(1000.0, 100.0) == pytest.approx(
+            1990.004895181192, rel=1e-14)
+
+    def test_large_orders_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        orders = np.array([100.0, 150.0, 300.0, 550.0, 1000.0])
+        xs = np.geomspace(0.1, 1e3, 13)
+        got = log_bessel_k(orders[:, None], xs[None, :])
+        with mpmath.workdps(30):
+            for nu, row in zip(orders, got):
+                for x, value in zip(xs, row):
+                    ref = float(mpmath.log(mpmath.besselk(nu, x)))
+                    assert value == pytest.approx(ref, rel=1e-12)
+
+    def test_finite_kernel_values_keep_the_kve_route(self):
+        # the expansion only replaces entries where kve overflows
+        from scipy.special import kve
+        orders = np.array([[0.5], [20.0], [100.0], [300.0], [1000.0]])
+        xs = np.geomspace(0.1, 1e3, 13)
+        k = kve(orders, xs)
+        direct = np.log(k) - xs
+        got = log_bessel_k(orders, xs)
+        assert np.isinf(k).any()
+        assert np.array_equal(got[np.isfinite(k)], direct[np.isfinite(k)])
 
     def test_log_form_matches_for_large_argument(self):
         # direct kernel underflows near x ~ 800; the log form stays finite
@@ -207,6 +235,21 @@ class TestQuadrature:
         integrate_semi_infinite(
             lambda s: alone.append(s) or np.exp(-s) / np.sqrt(s))
         assert len(calls) >= len(alone)
+
+    def test_riders_leave_the_other_rows_unchanged(self):
+        def rows(s, seen, rider):
+            seen.append(s)
+            out = [np.exp(-s), np.exp(-s) / np.sqrt(s)]
+            return np.stack(out + [s * s * np.exp(-s)] if rider else out)
+
+        plain, ridden = [], []
+        alone = integrate_semi_infinite(lambda s: rows(s, plain, False))
+        val = integrate_semi_infinite(lambda s: rows(s, ridden, True),
+                                      riders=1)
+        # the rider neither splits a panel nor joins the sums of the others
+        assert np.array_equal(val[:2], alone)
+        assert len(ridden) == len(plain)
+        assert val[2] == pytest.approx(2.0, rel=1e-8)
 
     def test_vector_nonconvergence_carries_estimates(self):
         spec = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-14, max_subdivisions=9)

@@ -217,6 +217,18 @@ def test_var_near_gamma_boundary_matches_gamma_law():
     assert near == pytest.approx(2.63044944, abs=1e-8)
 
 
+def test_large_index_gig_keeps_its_mass():
+    # log K_300(10) overflowed kve, so the normalizer was -inf and the
+    # density 0 everywhere
+    law = Gig(300.0, 1.0, 100.0)
+    assert law.expect(lambda s: np.ones_like(s)) == pytest.approx(1.0,
+                                                                  abs=1e-9)
+    assert law.expect(lambda s: s) == pytest.approx(law.moments().ez,
+                                                    rel=1e-9)
+    ya = YaLaw(0.5, law)
+    assert cdf_ya(ya, -var_ya(ya, 0.05)) == pytest.approx(0.05, abs=1e-8)
+
+
 class TestSkewCondition:
     @pytest.mark.parametrize("shape", np.linspace(0.3, 6.0, 10))
     def test_gamma_identically_zero(self, shape):

@@ -22,8 +22,8 @@ from nmvmrisk.nmvm import UnivariateMixture, project, transform
 from nmvmrisk.risk import (YaLaw, cdf_ya, clear_caches, cvar_via_F, cvar_ya,
                            density_ya, h, mc_risk, portfolio_risk_exact,
                            portfolio_risk_piecewise, portfolio_risk_two_point,
-                           risk_ya, rockafellar_F, two_point_coefficients,
-                           var_ya)
+                           risk_ya, risk_ya_and_slope, rockafellar_F,
+                           two_point_coefficients, var_ya)
 
 MIXING_REF = Gig(lam=-0.378655004, chi=0.379275063, psi=0.371543387)
 B_REF = 0.05424821646403182  # ||gamma0|| of the five-stock location model
@@ -163,8 +163,8 @@ class TestVarYa:
         tm = request.getfixturevalue(model)
         b = tm.gamma0_norm
         for ratio in (-1.0, -0.6, -0.3, 0.0, 0.4, 0.8, 1.0):
-            _, passes = riskmod._solve(YaLaw(ratio * b, tm.mixing), "var",
-                                       beta)
+            _, passes, _ = riskmod._solve(YaLaw(ratio * b, tm.mixing),
+                                          "var", beta)
             assert passes <= 7
 
     @pytest.mark.parametrize("mixing", [Gamma(0.3, 5.0), Gamma(0.5, 0.5),
@@ -173,7 +173,7 @@ class TestVarYa:
     def test_cusp_passes(self, mixing):
         # f_0 is unbounded at 0, so the median of Y_a near a = 0 gets no
         # usable slope and is bisected; no pass probes the wrong side
-        _, passes = riskmod._solve(YaLaw(1e-300, mixing), "var", 0.5)
+        _, passes, _ = riskmod._solve(YaLaw(1e-300, mixing), "var", 0.5)
         assert passes <= 42
 
     @pytest.mark.parametrize("mixing", [MIXING_REF, InverseGaussian(1.0, 1.0),
@@ -195,7 +195,7 @@ class TestVarYa:
 
         monkeypatch.setattr(riskmod, "find_root", captured)
         monkeypatch.setattr(type(mixing), "expect", counted)
-        _, steps = riskmod._solve(law, "var", beta)
+        _, steps, _ = riskmod._solve(law, "var", beta)
         assert len(passes) == steps
         passes.clear()
         value, slope = objectives[0](1.2)
@@ -414,11 +414,11 @@ class TestTwoPoint:
             return orig_var(law, beta)
 
         def count_solve(law, measure, beta, start=None):
-            value, passes = orig_solve(law, measure, beta, start)
+            value, passes, slope = orig_solve(law, measure, beta, start)
             if measure == "cvar":
                 calls["cvar"] += 1
                 cvar_passes.append(passes)
-            return value, passes
+            return value, passes, slope
 
         monkeypatch.setattr(riskmod, "var_ya", count_var)
         monkeypatch.setattr(riskmod, "_solve", count_solve)
@@ -649,3 +649,22 @@ def test_cdf_of_a_large_scale_law():
     assert reference == pytest.approx(0.010772, rel=1e-4)
     assert cdf_ya(law, y) == pytest.approx(reference, rel=1e-8)
     assert cdf_ya(law, -var_ya(law, 0.01)) == pytest.approx(0.01, rel=1e-8)
+
+
+@given(law=st.one_of(
+    st.builds(Gig, st.floats(-3.0, 3.0), st.floats(0.1, 5.0),
+              st.floats(0.1, 5.0)),
+    st.builds(Gamma, st.floats(0.3, 5.0), st.floats(0.1, 5.0)),
+    st.builds(InverseGaussian, st.floats(0.1, 5.0), st.floats(0.1, 5.0))),
+    a=st.floats(-1.0, 1.0), beta=st.sampled_from([0.1, 0.05, 0.01]),
+    measure=st.sampled_from(["var", "cvar"]))
+@settings(max_examples=100, deadline=None)
+def test_slope_matches_central_difference(law, a, beta, measure):
+    # the slope row rides on the priced rows' panels, so the value is
+    # risk_ya's bit for bit
+    value, slope = risk_ya_and_slope(YaLaw(a, law), measure, beta)
+    assert value == risk_ya(YaLaw(a, law), measure, beta)
+    step = 1e-5
+    central = (risk_ya(YaLaw(a + step, law), measure, beta)
+               - risk_ya(YaLaw(a - step, law), measure, beta)) / (2.0 * step)
+    assert slope == pytest.approx(central, rel=1e-6)
