@@ -10,7 +10,10 @@ the classical special cases.
 
 GIG parameter domain: chi > 0, psi >= 0 when lam < 0; chi > 0, psi > 0 when
 lam = 0; chi >= 0, psi > 0 when lam > 0. The boundary cases psi = 0 and
-chi = 0 are the inverse-gamma and gamma limits.
+chi = 0 are the inverse-gamma and gamma limits. The domain also decides
+which moments exist: E[Z^r] is the ratio c(lam, chi, psi) / c(lam + r, chi,
+psi) of two normalizing constants, finite exactly when GIG(lam + r, chi, psi)
+is itself in the domain.
 """
 
 from __future__ import annotations
@@ -122,8 +125,14 @@ class MixingLaw:
 
 
 def gig_log_norm(lam: float, chi: float, psi: float) -> float:
-    """log of the GIG(lam, chi, psi) density's normalizing constant
-    (psi/chi)^(lam/2) / (2 K_lam(sqrt(chi psi))), for chi, psi > 0."""
+    """log of the GIG(lam, chi, psi) density's normalizing constant over the
+    whole domain: (psi/chi)^(lam/2) / (2 K_lam(sqrt(chi psi))) inside it,
+    (psi/2)^lam / Gamma(lam) at chi = 0 and (chi/2)^-lam / Gamma(-lam) at
+    psi = 0."""
+    if chi == 0.0:  # Gamma(lam, psi/2)
+        return lam * math.log(0.5 * psi) - math.lgamma(lam)
+    if psi == 0.0:  # inverse gamma with shape -lam, scale chi/2
+        return -lam * math.log(0.5 * chi) - math.lgamma(-lam)
     z = math.sqrt(chi * psi)
     # scipy's kve is nan at subnormal orders (K is even in the order, so K_0
     # is exact there) and overflows near chi = 0 or psi = 0, where
@@ -156,13 +165,7 @@ class Gig(MixingLaw):
     @cached_property
     def _log_norm(self) -> float:
         """log normalizing constant, computed once per instance."""
-        lam, chi, psi = self.lam, self.chi, self.psi
-        if chi > 0.0 and psi > 0.0:
-            return gig_log_norm(lam, chi, psi)
-        if chi == 0.0:  # Gamma(lam, psi/2)
-            return lam * math.log(0.5 * psi) - math.lgamma(lam)
-        # psi == 0: inverse gamma with shape -lam, scale chi/2
-        return -lam * math.log(0.5 * chi) - math.lgamma(-lam)
+        return gig_log_norm(self.lam, self.chi, self.psi)
 
     def _density_pos(self, w):
         # on the boundaries chi / w or psi * w is an exact zero, and halving
@@ -171,27 +174,14 @@ class Gig(MixingLaw):
                       - 0.5 * (self.chi / w + self.psi * w))
 
     def raw_moment(self, r: float) -> float:
-        """E[Z^r]; raises MomentError when the moment is infinite.
-
-        Interior laws form (chi/psi)^(r/2) K_{lam+r}(omega) / K_lam(omega)
-        in log space, so neither factor can leave the range of doubles near
-        chi = 0 or psi = 0.
-        """
-        lam, chi, psi = self.lam, self.chi, self.psi
-        if chi > 0.0 and psi > 0.0:
-            omega = math.sqrt(chi * psi)
-            log_ratio = float(log_bessel_k(lam + r, omega) - log_bessel_k(lam, omega))
-            return math.exp(0.5 * r * (math.log(chi) - math.log(psi))
-                            + log_ratio)
-        if chi == 0.0:  # Gamma(lam, psi/2)
-            if lam + r <= 0.0:
-                raise MomentError(f"E[Z^{r}] does not exist for Gamma({lam}, ...)")
-            return math.exp(math.lgamma(lam + r) - math.lgamma(lam)) / (0.5 * psi) ** r
-        # psi == 0: inverse gamma(-lam, chi/2); E[Z^r] finite iff r < -lam
-        if r >= -lam:
-            raise MomentError(
-                f"E[Z^{r}] does not exist for GIG({lam}, {chi}, 0)")
-        return (0.5 * chi) ** r * math.exp(math.lgamma(-lam - r) - math.lgamma(-lam))
+        """E[Z^r] = c(lam, chi, psi) / c(lam + r, chi, psi), formed in log
+        space; raises MomentError exactly when GIG(lam + r, chi, psi) is not
+        a law, which is when the moment is infinite."""
+        try:
+            shifted = Gig(self.lam + r, self.chi, self.psi)
+        except ValueError:
+            raise MomentError(f"E[Z^{r}] does not exist for {self!r}") from None
+        return math.exp(self._log_norm - shifted._log_norm)
 
     def moments(self) -> MixingMoments:
         return self._moments
@@ -201,10 +191,10 @@ class Gig(MixingLaw):
 
     @cached_property
     def _scale(self) -> float:
-        # EZ is infinite for psi = 0, lam >= -1: take the inverse-gamma mode
-        if self.psi == 0.0 and self.lam >= -1.0:
+        try:
+            return self.raw_moment(1.0)
+        except MomentError:  # only an inverse gamma lacks EZ: take its mode
             return self.chi / (2.0 * (1.0 - self.lam))
-        return self.raw_moment(1.0)
 
     @cached_property
     def _moments(self) -> MixingMoments:

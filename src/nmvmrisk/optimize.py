@@ -21,7 +21,7 @@ import numpy as np
 from .mixing import skew_condition
 from .nmvm import TransformedModel, portfolio_moments, skew_derivative
 from .risk import (YaLaw, _check_beta, _check_measure, portfolio_risk_exact,
-                   risk_ya_and_slope)
+                   risk_ya, risk_ya_and_slope)
 
 __all__ = [
     "DegenerateConstraintsError",
@@ -161,7 +161,10 @@ def solve_mean_risk_reduced(tm: TransformedModel, measure: str, beta: float,
     The solve starts from the least-norm portfolio at the return floor, and
     that anchor is also the fallback: a result that is infeasible or worse
     than the anchor (possible for VaR, which is not convex, or where a VaR
-    slope is not finite) is replaced by it.
+    slope is not finite) is replaced by it. Without gamma0 the risk is
+    ||x|| risk(Y_0), priced once; the problem is then unbounded, and raises
+    ArithmeticError, when risk(Y_0) is below the norm of mu0 less its e_A
+    component.
 
     grid_size has no effect: the convex solve needs no search grid. It is
     still accepted so that callers written for the former grid search keep
@@ -208,6 +211,16 @@ def solve_mean_risk_reduced(tm: TransformedModel, measure: str, beta: float,
         e_mu[0] = 1.0
     if has_gamma:
         e_gamma[-1] = 1.0
+    else:
+        # a = 0 everywhere: f = -x^T mu0 + ||x|| R0 falls without bound
+        # along P mu0, mu0 less its e_A component, when R0 < ||P mu0||
+        r0 = risk_ya(YaLaw(0.0, tm.mixing), measure, beta)
+        p_mu = float(np.linalg.norm(
+            tm.mu0 - float(tm.mu0 @ tm.e_a) / e_norm ** 2 * tm.e_a))
+        if r0 < p_mu:
+            raise ArithmeticError(
+                f"the reduced problem is unbounded: risk(Y_0) = {r0:.6g} is "
+                f"below ||P mu0|| = {p_mu:.6g}")
 
     def objective(u: np.ndarray) -> tuple[float, np.ndarray]:
         # f = -mu_t + sg R(a), sg = sqrt(v^T G^-1 v), a = gam_t / sg: the
@@ -216,6 +229,8 @@ def solve_mean_risk_reduced(tm: TransformedModel, measure: str, beta: float,
         g_v = g_inv @ v
         sg = math.sqrt(float(v @ g_v))
         dsg = g_v[:-1] / sg
+        if not has_gamma:
+            return -float(e_mu @ u) + sg * r0, -e_mu + dsg * r0
         a = min(max(float(e_gamma @ u) / sg, -b), b)
         r, slope = risk_ya_and_slope(YaLaw(a, tm.mixing), measure, beta)
         grad = -e_mu + dsg * r + slope * (e_gamma - a * dsg)

@@ -43,7 +43,7 @@ from scipy import special as _sspec
 
 from .mathkit import (DEFAULT_QUADRATURE, BracketError, QuadratureError,
                       find_root, log_bessel_k, normal_quantile)
-from .mixing import Gig, MixingLaw, gig_log_norm
+from .mixing import Gig, MixingLaw, MomentError, gig_log_norm
 from .nmvm import TransformedModel, UnivariateMixture
 
 __all__ = [
@@ -430,23 +430,34 @@ def rockafellar_F(um: UnivariateMixture, alpha: float, beta: float) -> float:
 def cvar_via_F(um: UnivariateMixture, beta: float) -> float:
     """CVaR of the loss -Y at level beta as min_alpha F_beta(alpha).
 
-    One-dimensional convex minimization; agrees with the tail-integral CVaR
-    of the return at level 1 - beta.
+    One-dimensional convex minimization over a bracket placed by EZ and the
+    spread sqrt(Var Z), or by scale() for both where the law lacks the
+    moments (heavy tails); agrees with the tail-integral CVaR of the return
+    at level 1 - beta. Raises ArithmeticError when the minimizer lies at an
+    end of the bracket.
     """
     # imported here: scipy.optimize adds ~0.3 s to every package import
     from scipy.optimize import minimize_scalar
     _check_beta(beta)
-    mm = um.mixing.moments()
-    center = -(um.loc + um.skew_coef * mm.ez) - \
-        um.scale * math.sqrt(mm.ez) * normal_quantile(1.0 - beta)
-    width = 12.0 * (um.scale * math.sqrt(mm.ez) + abs(um.skew_coef) * mm.ez
-                    + math.sqrt(mm.var) * abs(um.skew_coef) + 1e-12)
+    try:
+        mm = um.mixing.moments()
+        ez, spread = mm.ez, math.sqrt(mm.var)
+    except MomentError:
+        ez = spread = um.mixing.scale()
+    center = -(um.loc + um.skew_coef * ez) - \
+        um.scale * math.sqrt(ez) * normal_quantile(1.0 - beta)
+    width = 12.0 * (um.scale * math.sqrt(ez) + abs(um.skew_coef) * ez
+                    + spread * abs(um.skew_coef) + 1e-12)
+    lo, hi = center - width, center + width
     res = minimize_scalar(
-        lambda alpha: rockafellar_F(um, alpha, beta),
-        bounds=(center - width, center + width), method="bounded",
-        options={"xatol": 1e-10})
+        lambda alpha: rockafellar_F(um, alpha, beta), bounds=(lo, hi),
+        method="bounded", options={"xatol": 1e-10})
     if not res.success:
         raise ArithmeticError(f"auxiliary-function minimization failed: {res.message}")
+    # where F still falls at an end, the search stops ~3e-8 |alpha| from it
+    if min(res.x - lo, hi - res.x) <= 1e-6 * (hi - lo) + 1e-7 * abs(res.x):
+        raise ArithmeticError(
+            f"the minimizer of F lies at an end of its bracket [{lo}, {hi}]")
     return float(res.fun)
 
 

@@ -365,6 +365,18 @@ class TestMcecm:
         trace = np.array(result.log_likelihood_trace)
         assert np.all(np.diff(trace) >= -1e-8)
 
+    def test_without_location(self):
+        # mu stays at zero, and the fit without it reaches at most the
+        # likelihood of the fit with it
+        rm = synthetic_returns(2000, seed=31)
+        result = mcecm_fit(rm, FitConfig(include_mu=False))
+        assert result.converged
+        assert np.all(result.model.mu == 0.0)
+        trace = np.array(result.log_likelihood_trace)
+        assert np.all(np.diff(trace) >= 0.0)
+        with_mu = mcecm_fit(rm, FitConfig())
+        assert trace[-1] <= with_mu.log_likelihood_trace[-1]
+
     def test_needs_enough_rows(self):
         rm = ReturnsMatrix(assets=["a", "b", "c"], dates=["1", "2", "3"],
                            values=np.zeros((3, 3)))

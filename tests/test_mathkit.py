@@ -97,6 +97,7 @@ class TestBesselK:
         assert log_bessel_k(1000.0, 100.0) == pytest.approx(
             1990.004895181192, rel=1e-14)
 
+    @pytest.mark.slow
     def test_large_orders_against_mpmath(self):
         mpmath = pytest.importorskip("mpmath")
         orders = np.array([100.0, 150.0, 300.0, 550.0, 1000.0])

@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nmvmrisk import mixing as mixmod
-from nmvmrisk.mathkit import QuadratureSpec, integrate_semi_infinite
+from nmvmrisk.mathkit import (DEFAULT_QUADRATURE, QuadratureSpec,
+                              integrate_semi_infinite)
 from nmvmrisk.mixing import (Degenerate, Exponential, Gamma, Gig,
                              InverseGaussian, MomentError, skew_condition)
 from nmvmrisk.risk import YaLaw, cdf_ya, var_ya
@@ -209,6 +210,38 @@ class TestMoments:
                     Gig(-lam, other, 0.0).raw_moment(r), rel=1e-10)
 
 
+def _gig_or_none(lam, chi, psi):
+    try:
+        return Gig(lam, chi, psi)
+    except ValueError:
+        return None
+
+
+@given(lam=st.floats(-4.0, 4.0), chi=st.floats(0.05, 20.0),
+       psi=st.floats(0.05, 20.0), edge=st.sampled_from(["", "chi", "psi"]),
+       r=st.sampled_from([-2.0, -1.0, 0.5, 1.0, 2.0, 3.0, 4.0]))
+@settings(max_examples=200, deadline=None)
+def test_moment_exists_exactly_where_the_shifted_law_does(lam, chi, psi, edge,
+                                                          r):
+    chi, psi = (0.0 if edge == "chi" else chi), (0.0 if edge == "psi" else psi)
+    law = _gig_or_none(lam, chi, psi)
+    assume(law is not None)
+    if _gig_or_none(lam + r, chi, psi) is None:
+        with pytest.raises(MomentError):
+            law.raw_moment(r)
+        return
+    moment = law.raw_moment(r)
+    # with E[Z^(r-1)] and E[Z^(r+1)] finite, s^r p(s) is bounded at 0 and its
+    # tail decays fast enough for the quadrature, checked to 10x its
+    # tolerances; a gamma law of shape below 1e-3 puts s^r p(s) ~r/shape
+    # units of scale() out, where expect() misses it
+    if (all(_gig_or_none(lam + r + d, chi, psi) is not None
+            for d in (-1.0, 1.0)) and (chi > 0.0 or lam >= 1e-3)):
+        assert moment == pytest.approx(
+            law.expect(lambda s: s ** r), rel=10 * DEFAULT_QUADRATURE.rel_tol,
+            abs=10 * DEFAULT_QUADRATURE.abs_tol)
+
+
 def test_var_near_gamma_boundary_matches_gamma_law():
     # Gig(3, chi -> 0, 1) tends to Gamma(3, 1/2); its moments overflowed
     near = var_ya(YaLaw(0.2, Gig(3.0, 1e-300, 1.0)), 0.05)
@@ -353,4 +386,7 @@ class TestExpectationOperator:
         law = Gig(lam=-0.5, chi=1.1, psi=0.9)
         cdf_ya(YaLaw(0.3, law), 0.2)
         cdf_ya(YaLaw(-0.3, law), 1.5)
-        assert len(calls) == 1
+        # scale() is EZ, the ratio of this law's normalizer to GIG(lam + 1)'s
+        assert calls == [(-0.5, 1.1, 0.9), (0.5, 1.1, 0.9)]
+        law.moments()
+        assert calls.count((-0.5, 1.1, 0.9)) == 1

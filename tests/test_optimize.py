@@ -198,6 +198,18 @@ class TestFrontier:
         assert all(math.isnan(p.cvar) for p in pts)
 
 
+SIGMA_3 = np.array([[0.04, 0.01, 0.004],
+                    [0.01, 0.09, -0.006],
+                    [0.004, -0.006, 0.0225]])
+
+
+def _elliptical(mu, mixing):
+    """Three assets with gamma = 0, in mean-risk mode."""
+    model = nr.NmvmModel(mu=mu, gamma=np.zeros(3), sigma=SIGMA_3,
+                         mixing=mixing)
+    return transform(model, mode="mean_risk")
+
+
 class TestMeanRiskReduced:
     def test_weakly_improves_on_anchor(self, location_model):
         # location forced to zero: the least-norm portfolio at the return
@@ -243,18 +255,43 @@ class TestMeanRiskReduced:
     def test_elliptical_case_matches_minimum_variance(self):
         # gamma = 0 and mu = 0: risk is norm times a constant, so the
         # solution is the minimum-variance portfolio
-        sigma = np.array([[0.04, 0.01, 0.004],
-                          [0.01, 0.09, -0.006],
-                          [0.004, -0.006, 0.0225]])
-        model = nr.NmvmModel(mu=np.zeros(3), gamma=np.zeros(3), sigma=sigma,
-                             mixing=Gig(lam=-0.5, chi=1.44, psi=1.44))
-        tm = transform(model, mode="mean_risk")
+        tm = _elliptical(np.zeros(3), Gig(lam=-0.5, chi=1.44, psi=1.44))
         sol = solve_mean_risk_reduced(tm, "cvar", 0.05, k=-1.0)
         omega = tm.weights_from_x(sol.x_star)
         ones = np.ones(3)
-        omega_mv = np.linalg.solve(sigma, ones)
+        omega_mv = np.linalg.solve(SIGMA_3, ones)
         omega_mv /= omega_mv.sum()
         assert np.abs(omega - omega_mv).max() <= 1e-6
+
+    def test_return_floor_out_of_reach(self):
+        # mu = gamma = 0: every portfolio earns 0, so k = 0.01 is infeasible
+        # and k = 0 leaves the minimum-variance portfolio
+        tm = _elliptical(np.zeros(3), Gig(lam=-0.5, chi=1.44, psi=1.44))
+        with pytest.raises(ArithmeticError, match="return floor"):
+            solve_mean_risk_reduced(tm, "cvar", 0.05, k=0.01)
+        omega = tm.weights_from_x(
+            solve_mean_risk_reduced(tm, "cvar", 0.05, k=0.0).x_star)
+        omega_mv = np.linalg.solve(SIGMA_3, np.ones(3))
+        omega_mv /= omega_mv.sum()
+        assert np.abs(omega - omega_mv).max() <= 1e-12
+
+    @pytest.mark.parametrize("k", [-1.0, 0.0, 0.005])
+    def test_unbounded_without_gamma_raises(self, k):
+        # gamma = 0 drops a: the objective -x^T mu0 + ||x|| risk(Y_0) has no
+        # minimum when risk(Y_0) = VaR_0.5 = 0 is below ||P mu0|| = 0.0605
+        tm = _elliptical(np.array([0.01, 0.02, 0.0]), Gamma(0.3, 5.0))
+        with pytest.raises(ArithmeticError,
+                           match=r"unbounded: risk\(Y_0\) = 0 .* 0\.0604"):
+            solve_mean_risk_reduced(tm, "var", 0.5, k=k)
+
+    def test_bounded_without_gamma_solves(self):
+        # CVaR_0.05(Y_0) = 0.624 exceeds ||P mu0||: the floor stays inactive
+        tm = _elliptical(np.array([0.01, 0.02, 0.0]), Gamma(0.3, 5.0))
+        low = solve_mean_risk_reduced(tm, "cvar", 0.05, k=-1.0)
+        high = solve_mean_risk_reduced(tm, "cvar", 0.05, k=0.005)
+        assert low.gamma_tilde_star == 0.0
+        assert low.mu_tilde_star >= 0.005
+        assert np.abs(low.x_star - high.x_star).max() <= 1e-6
 
     def test_reaches_cvar_optimum(self, tm_location):
         # Nelder-Mead on the reduced objective reaches the same optimum,

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 from scipy.special import ndtr
 
 import nmvmrisk as nr
@@ -547,6 +548,26 @@ class TestRockafellar:
         a = um.skew_coef / um.scale
         tail = -um.loc + um.scale * cvar_ya(YaLaw(a, um.mixing), 0.05)
         assert cvar_via_F(um, 0.95) == pytest.approx(tail, abs=1e-5)
+
+    @pytest.mark.parametrize("dof", [3.0, 4.0, 5.0])
+    @pytest.mark.parametrize("beta", [0.05, 0.01])
+    def test_student_t_expected_shortfall(self, dof, beta):
+        # Z ~ GIG(-dof/2, dof, 0) lacks E[Z^3], so the bracket is placed by
+        # scale(); sqrt(Z) N is Student t
+        um = UnivariateMixture(loc=0.0, skew_coef=0.0, scale=1.0,
+                               mixing=Gig(-dof / 2.0, dof, 0.0))
+        q = stats.t.ppf(1.0 - beta, dof)
+        shortfall = stats.t.pdf(q, dof) / beta * (dof + q * q) / (dof - 1.0)
+        assert cvar_via_F(um, 1.0 - beta) == pytest.approx(shortfall,
+                                                            rel=1e-9)
+
+    def test_minimizer_at_a_bracket_end_raises(self, monkeypatch):
+        # a bracket centred 50 sd below the minimizer ends short of it
+        monkeypatch.setattr(riskmod, "normal_quantile", lambda p: 50.0)
+        um = UnivariateMixture(loc=0.0, skew_coef=0.0, scale=1.0,
+                               mixing=Gamma(2.0, 2.0))
+        with pytest.raises(ArithmeticError, match="end of its bracket"):
+            cvar_via_F(um, 0.95)
 
 
 class TestMonteCarlo:
