@@ -162,16 +162,11 @@ _GK_WEIGHTS_G = np.array([
 ])
 
 
-def _eval_panel(f: Callable, lo: float, hi: float, riders: int):
-    """Gauss-Kronrod estimates of int_lo^hi f(s(t)) s'(t) dt, s = t/(1-t),
-    the gap of each but the last `riders` of them, and the largest gap,
-    which orders the panels for splitting.
-
-    A scalar integrand gives np.float64 scalars; one of shape (k, 15) gives
-    length-k arrays.
-    """
-    half = 0.5 * (hi - lo)
-    t = lo + half * (_GK_NODES + 1.0)
+def _integrand_rows(f: Callable, t: np.ndarray, lo: float,
+                    hi: float) -> np.ndarray:
+    """f(s(t)) s'(t), s = t/(1-t), at the nodes t of the panels spanning
+    [lo, hi], checked to map the nodes elementwise (shape (k, n) for k
+    integrands) and to be finite."""
     one_minus = 1.0 - t
     fs = np.asarray(f(t / one_minus), dtype=float)
     if fs.shape[-1:] != t.shape or fs.ndim > 2:
@@ -181,6 +176,13 @@ def _eval_panel(f: Callable, lo: float, hi: float, riders: int):
     if not np.isfinite(y).all():
         raise QuadratureError(f"integrand is not finite on the panel t in "
                               f"[{lo}, {hi}], s = t/(1-t)", np.nan, np.inf)
+    return y
+
+
+def _estimates(y: np.ndarray, half, riders: int):
+    """Kronrod estimates and Kronrod-Gauss gaps of the rows y (nodes on the
+    last axis) of panels of half-width half; the last `riders` rows get no
+    gap."""
     # the riders get products of their own: a matrix-vector product may
     # round a row differently when the matrix has more rows
     steer = y[:-riders] if riders else y
@@ -188,7 +190,34 @@ def _eval_panel(f: Callable, lo: float, hi: float, riders: int):
     err = np.abs(val_k - half * (steer @ _GK_WEIGHTS_G))
     if riders:
         val_k = np.concatenate([val_k, half * (y[-riders:] @ _GK_WEIGHTS_K)])
+    return val_k, err
+
+
+def _eval_panel(f: Callable, lo: float, hi: float, riders: int):
+    """Gauss-Kronrod estimates of int_lo^hi f(s(t)) s'(t) dt, s = t/(1-t),
+    the gap of each but the last `riders` of them, and the largest gap,
+    which orders the panels for splitting.
+
+    A scalar integrand gives np.float64 scalars; one of shape (k, 15) gives
+    length-k arrays.
+    """
+    half = 0.5 * (hi - lo)
+    y = _integrand_rows(f, lo + half * (_GK_NODES + 1.0), lo, hi)
+    val_k, err = _estimates(y, half, riders)
     return val_k, err, float(err.max())
+
+
+def _eval_panels(f: Callable, edges: np.ndarray, riders: int) -> list:
+    """The m panels between consecutive edges as (key, lo, hi, value, gap),
+    with _eval_panel's estimates, from one call of f on all 15 m nodes."""
+    lo, hi = edges[:-1], edges[1:]
+    half = 0.5 * (hi - lo)
+    y = _integrand_rows(f, (lo[:, None] + half[:, None] * (_GK_NODES + 1.0))
+                        .ravel(), edges[0], edges[-1])
+    val_k, err = _estimates(
+        y.reshape(y.shape[:-1] + (lo.size, _GK_NODES.size)), half, riders)
+    return [(float(err[..., j].max()), lo[j], hi[j], val_k[..., j],
+             err[..., j]) for j in range(lo.size)]
 
 
 def _converged(total, bound, spec: QuadratureSpec) -> bool:
@@ -197,7 +226,7 @@ def _converged(total, bound, spec: QuadratureSpec) -> bool:
 
 
 def integrate_semi_infinite(f: Callable, spec: QuadratureSpec | None = None,
-                            riders: int = 0):
+                            riders: int = 0, partition: list | None = None):
     """Integrate f over (0, inf) to the tolerances in spec.
 
     Uses the substitution s = t/(1-t) mapping (0, inf) onto (0, 1), then
@@ -215,20 +244,31 @@ def integrate_semi_infinite(f: Callable, spec: QuadratureSpec | None = None,
     neither order the splits nor enter the tolerance test, so adding them
     leaves the other components bit for bit as they were.
 
+    `partition`, a list of edges 0 = t_0 < ... < t_m = 1, carries panels
+    from one call to the next. A non-empty one replaces the 8 uniform seed
+    panels by its m panels, all evaluated in one call of f on 15 m nodes
+    (shape (k, 15 m)); the splits that follow are the ones described above,
+    so the result meets the same tolerance. An empty one seeds as without a
+    partition. On return the partition holds the edges of the final panels.
+    Without a partition every step is as described above, bit for bit.
+
     Raises QuadratureError (carrying the best estimate and bound) if the
     subdivision budget is exhausted first, and at the first panel where the
     integrand is not finite; raises ValueError when f's output does not have
     the shape of its input.
     """
     spec = spec or DEFAULT_QUADRATURE
-    # Seed with several panels so the initial error estimate sees the
-    # integrand's structure rather than a single smoothed average.
-    n_seed = min(8, spec.max_subdivisions)
-    edges = np.linspace(0.0, 1.0, n_seed + 1)
-    panels = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        val, err, key = _eval_panel(f, lo, hi, riders)
-        panels.append((key, lo, hi, val, err))
+    if partition:
+        panels = _eval_panels(f, np.asarray(partition, dtype=float), riders)
+    else:
+        # Seed with several panels so the initial error estimate sees the
+        # integrand's structure rather than a single smoothed average.
+        n_seed = min(8, spec.max_subdivisions)
+        edges = np.linspace(0.0, 1.0, n_seed + 1)
+        panels = []
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            val, err, key = _eval_panel(f, lo, hi, riders)
+            panels.append((key, lo, hi, val, err))
 
     while True:
         total = sum(p[3] for p in panels)
@@ -246,6 +286,9 @@ def integrate_semi_infinite(f: Callable, spec: QuadratureSpec | None = None,
         for a_, b_ in ((lo, mid), (mid, hi)):
             val, err, key = _eval_panel(f, a_, b_, riders)
             panels.append((key, a_, b_, val, err))
+    if partition is not None:
+        # the panels tile [0, 1], so their ends are the edges
+        partition[:] = sorted({float(t) for p in panels for t in p[1:3]})
     return total
 
 

@@ -14,14 +14,14 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .mixing import skew_condition
 from .nmvm import TransformedModel, portfolio_moments, skew_derivative
-from .risk import (YaLaw, _check_beta, _check_measure, portfolio_risk_exact,
-                   risk_ya, risk_ya_and_slope)
+from .risk import (YaLaw, _check_beta, _check_measure, _solve, _SolveState,
+                   portfolio_risk_exact, risk_ya_and_slope)
 
 __all__ = [
     "DegenerateConstraintsError",
@@ -72,10 +72,16 @@ class FrontierPoint:
 
 @dataclass(frozen=True)
 class ReducedSolution:
+    """The reduced optimum. diagnostics holds risk_solves (scalar-risk
+    solves), quadrature_evaluations (their Newton passes, summed),
+    slsqp_iterations and anchor_kept (whether the anchor stood in for
+    SLSQP's result, or nothing was left to optimize)."""
+
     mu_tilde_star: float
     gamma_tilde_star: float
     x_star: np.ndarray
     g_value: float
+    diagnostics: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -158,6 +164,10 @@ def solve_mean_risk_reduced(tm: TransformedModel, measure: str, beta: float,
     solve per point (risk_ya_and_slope), and the chain rule through
     a = x^T gamma0 / ||x|| gives the rest. Each coordinate is scaled by its
     direction's reach, so that the variables SLSQP moves are of order one.
+    The solves of one call share a private state (see risk._solve): each
+    Newton pass seeds its quadrature with the previous pass's panels, and
+    each solve starts at the previous solve's root, since every iterate has
+    the same mixing law, measure and level. Nothing outlives the call.
     The solve starts from the least-norm portfolio at the return floor, and
     that anchor is also the fallback: a result that is infeasible or worse
     than the anchor (possible for VaR, which is not convex, or where a VaR
@@ -209,12 +219,16 @@ def solve_mean_risk_reduced(tm: TransformedModel, measure: str, beta: float,
     e_gamma = np.zeros(len(scale))
     if has_mu:
         e_mu[0] = 1.0
+    # shared by this call's solves; counts their passes
+    state = _SolveState()
+    solves = 0
     if has_gamma:
         e_gamma[-1] = 1.0
     else:
         # a = 0 everywhere: f = -x^T mu0 + ||x|| R0 falls without bound
         # along P mu0, mu0 less its e_A component, when R0 < ||P mu0||
-        r0 = risk_ya(YaLaw(0.0, tm.mixing), measure, beta)
+        r0, state.passes, _ = _solve(YaLaw(0.0, tm.mixing), measure, beta)
+        solves = 1
         p_mu = float(np.linalg.norm(
             tm.mu0 - float(tm.mu0 @ tm.e_a) / e_norm ** 2 * tm.e_a))
         if r0 < p_mu:
@@ -225,6 +239,7 @@ def solve_mean_risk_reduced(tm: TransformedModel, measure: str, beta: float,
     def objective(u: np.ndarray) -> tuple[float, np.ndarray]:
         # f = -mu_t + sg R(a), sg = sqrt(v^T G^-1 v), a = gam_t / sg: the
         # gradient is -e_mu + dsg R + sg R'(a) da, da = (e_gamma - a dsg)/sg
+        nonlocal solves
         v = np.append(u, 1.0)
         g_v = g_inv @ v
         sg = math.sqrt(float(v @ g_v))
@@ -232,7 +247,10 @@ def solve_mean_risk_reduced(tm: TransformedModel, measure: str, beta: float,
         if not has_gamma:
             return -float(e_mu @ u) + sg * r0, -e_mu + dsg * r0
         a = min(max(float(e_gamma @ u) / sg, -b), b)
-        r, slope = risk_ya_and_slope(YaLaw(a, tm.mixing), measure, beta)
+        solves += 1
+        # positional, so that wrappers of the form (law, *args) see it
+        r, slope = risk_ya_and_slope(YaLaw(a, tm.mixing), measure, beta,
+                                     state)
         grad = -e_mu + dsg * r + slope * (e_gamma - a * dsg)
         return -float(e_mu @ u) + sg * r, grad
 
@@ -254,6 +272,7 @@ def solve_mean_risk_reduced(tm: TransformedModel, measure: str, beta: float,
     if float(ret_row @ u_best) < k - slack:
         raise ArithmeticError("no feasible portfolio meets the return floor; "
                               "check k")
+    iterations, anchor_kept = 0, True
     if u_best.size:
         # imported here: scipy.optimize adds ~0.3 s to every package import
         from scipy.optimize import minimize
@@ -273,14 +292,19 @@ def solve_mean_risk_reduced(tm: TransformedModel, measure: str, beta: float,
                           "jac": lambda z: ret_row * scale}],
             options=_SLSQP_OPTIONS)
         u_res = res.x * scale
+        iterations = int(res.nit)
         if float(ret_row @ u_res) >= k - slack and res.fun <= best:
-            u_best = u_res
+            u_best, anchor_kept = u_res, False
     v = np.append(u_best, 1.0)
     return ReducedSolution(
         mu_tilde_star=float(u_best[0]) if has_mu else 0.0,
         gamma_tilde_star=float(u_best[-1]) if has_gamma else 0.0,
         x_star=basis @ (g_inv @ v),
-        g_value=float(v @ g_inv @ v))
+        g_value=float(v @ g_inv @ v),
+        diagnostics={"risk_solves": solves,
+                     "quadrature_evaluations": state.passes,
+                     "slsqp_iterations": iterations,
+                     "anchor_kept": anchor_kept})
 
 
 _SKEW_GRID_POINTS = 201

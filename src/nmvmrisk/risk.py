@@ -163,11 +163,13 @@ def var_ya(law: YaLaw, beta: float) -> float:
     Solves beta - P(Y_a <= -y) = 0, increasing in y with slope f_a(-y), by
     safeguarded Newton iteration (find_root, to 1e-12 in y) from the normal
     quantile y0 = -(a EZ + sqrt(EZ + a^2 Var Z) Phi^-1(beta)) of Y_a's mean
-    and variance. Each step is one mixture quadrature pass that gives the
-    CDF and the density of Y_a together. A step that would leave the bracket
-    becomes a bisection; while the quantile is not yet bracketed it becomes
-    a step of one standard deviation of Y_a toward it, doubled each time (at
-    most 60, for heavy-tailed mixing at small beta). Y_0 is symmetric, so
+    and variance; a law without E[Z^3] (a heavy-tailed inverse gamma, say)
+    takes c = scale() for EZ and c^2 for Var Z. Each step is one mixture
+    quadrature pass that gives the CDF and the density of Y_a together. A
+    step that would leave the bracket becomes a bisection; while the
+    quantile is not yet bracketed it becomes a step of one standard
+    deviation of Y_a toward it, doubled each time (at most 60, for
+    heavy-tailed mixing at small beta). Y_0 is symmetric, so
     its median is 0 without a solve.
     """
     _check_beta(beta)
@@ -180,19 +182,50 @@ def cvar_ya(law: YaLaw, beta: float) -> float:
     return _solve(law, "cvar", beta)[0]
 
 
+@dataclass
+class _SolveState:
+    """What the successive solves of one caller at one mixing law, measure
+    and level share: the edges of the last pass's quadrature panels (see
+    integrate_semi_infinite's partition), the last Newton root, and the
+    Newton passes summed over the solves."""
+
+    partition: list = field(default_factory=list)
+    root: float | None = None
+    passes: int = 0
+
+
 def _solve(law: YaLaw, measure: str, beta: float, start: float | None = None,
-           slope: bool = False) -> tuple[float, int, float]:
+           slope: bool = False,
+           state: _SolveState | None = None) -> tuple[float, int, float]:
     """(risk(Y_a), its number of mixture quadrature passes, d risk(Y_a)/da),
-    solved from `start` (default: the normal quantile). Each Newton pass at
+    solved from `start` (default: the normal quantile of Y_a's mean and
+    variance, or of a Z + sqrt(Z) N with Z at c = scale() and spread
+    sqrt(c + a^2 c^2) where the law lacks the moments). Each Newton pass at
     y integrates the CDF F and the density of Y_a at -y on shared nodes and,
     for CVaR only, the tail T = E[Y_a; Y_a <= -y]; the CVaR is read at the
     last abscissa x as x + (-T - x F)/beta, which is stationary at the VaR.
     With `slope`, each pass adds the row of the a-derivative (see the module
-    docstring), read at the last abscissa; without it the slope is nan."""
+    docstring), read at the last abscissa; without it the slope is nan.
+
+    A `state` carries one caller's solves at one mixing law into each
+    other: every pass seeds its quadrature with the previous pass's panels,
+    the default start is the last solve's root, and the passes are added to
+    state.passes. Values then differ from a stateless solve's within the
+    quadrature and root tolerances. Without a state a solve depends on its
+    arguments alone."""
     a = law.a
     tail = measure == "cvar"
     passes = 0
     last = None
+    # expect gets only the keywords in use: a stateless, slope-free pass
+    # calls expect(integrand) alone
+    keywords = {}
+    if slope:
+        # the slope row rides on the priced rows' panels, so the value is
+        # the slope-free solve's, bit for bit
+        keywords["riders"] = 1
+    if state is not None:
+        keywords["partition"] = state.partition
 
     def rows(y, density):
         def integrand(s):
@@ -206,11 +239,7 @@ def _solve(law: YaLaw, measure: str, beta: float, start: float | None = None,
             if slope:
                 out.append(s * cdf if tail else root * gauss)
             return np.stack(out if density else [cdf, *out[2:]])
-        if slope:
-            # the slope row rides on the priced rows' panels, so the value
-            # is the slope-free solve's, bit for bit
-            return law.mixing.expect(integrand, riders=1)
-        return law.mixing.expect(integrand)
+        return law.mixing.expect(integrand, **keywords)
 
     def objective(y):
         # increasing in y, with slope f_a(-y)
@@ -233,16 +262,27 @@ def _solve(law: YaLaw, measure: str, beta: float, start: float | None = None,
         if tail or slope:
             objective(root)
     else:
-        mm = law.mixing.moments()
-        sd = math.sqrt(mm.ez + a * a * mm.var)
+        try:
+            mm = law.mixing.moments()
+            ez, var = mm.ez, mm.var
+        except MomentError:
+            # E[Z^3] (or a lower moment) is infinite: the scale stands in
+            ez = law.mixing.scale()
+            var = ez * ez
+        sd = math.sqrt(ez + a * a * var)
+        if start is None and state is not None:
+            start = state.root
         if start is None:
-            start = -(a * mm.ez + sd * normal_quantile(beta))
+            start = -(a * ez + sd * normal_quantile(beta))
         try:
             root = find_root(objective, start, sd)
         except BracketError as exc:
             raise ArithmeticError(
                 f"could not bracket the {beta}-quantile of Y_a (a={a}): "
                 f"{exc}") from exc
+    if state is not None:
+        state.root = root
+        state.passes += passes
     value = root
     if tail:
         x, cdf, _, (t, *_) = last
@@ -261,14 +301,17 @@ def risk_ya(law: YaLaw, measure: str, beta: float) -> float:
     return _solve(law, measure, beta)[0]
 
 
-def risk_ya_and_slope(law: YaLaw, measure: str,
-                      beta: float) -> tuple[float, float]:
+def risk_ya_and_slope(law: YaLaw, measure: str, beta: float,
+                      state: _SolveState | None = None) -> tuple[float, float]:
     """(risk(Y_a), d risk(Y_a)/da) from one solve: the value is risk_ya's,
     and the slope is read at the solve's last abscissa (nan where the
-    density of Y_a there is not finite, for VaR)."""
+    density of Y_a there is not finite, for VaR). A `state` (see _solve)
+    carries the quadrature panels and the Newton root of one caller's
+    solves at one mixing law, measure and level from solve to solve; the
+    value is then risk_ya's within the quadrature and root tolerances."""
     _check_measure(measure)
     _check_beta(beta)
-    value, _, slope = _solve(law, measure, beta, slope=True)
+    value, _, slope = _solve(law, measure, beta, slope=True, state=state)
     return value, slope
 
 

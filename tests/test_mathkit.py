@@ -252,6 +252,78 @@ class TestQuadrature:
         assert len(ridden) == len(plain)
         assert val[2] == pytest.approx(2.0, rel=1e-8)
 
+    def test_empty_partition_seeds_as_without_one_and_gets_the_leaves(self):
+        def f(s):
+            return np.stack((np.exp(-s), np.exp(-s) / np.sqrt(s)))
+
+        partition = []
+        val = integrate_semi_infinite(f, partition=partition)
+        assert np.array_equal(val, integrate_semi_infinite(f))
+        # the final leaves tile [0, 1]: more than the 8 seed panels
+        assert partition[0] == 0.0 and partition[-1] == 1.0
+        assert len(partition) > 9
+        assert all(lo < hi for lo, hi in zip(partition[:-1], partition[1:]))
+
+    def test_partition_seeds_every_panel_in_one_call(self):
+        def f(s):
+            return np.stack((np.exp(-s), s * np.exp(-s),
+                             np.exp(-s) / np.sqrt(s)))
+
+        partition = []
+        integrate_semi_infinite(f, partition=partition)
+        leaves = list(partition)
+        shapes = []
+
+        def counted(s):
+            shapes.append(s.shape)
+            return f(s)
+
+        # the same integrand on the same leaves needs no split: one call
+        val = integrate_semi_infinite(counted, partition=partition)
+        assert shapes == [(15 * (len(leaves) - 1),)]
+        assert partition == leaves
+        assert val == pytest.approx([1.0, 1.0, math.sqrt(math.pi)], rel=1e-8,
+                                    abs=1e-10)
+
+    def test_coarse_partition_is_refined_to_the_tolerance(self):
+        # one panel on [0, 1] misses the tolerance: the split loop refines it
+        # one panel per call, as without a partition
+        partition = [0.0, 1.0]
+        shapes = []
+
+        def f(s):
+            shapes.append(s.shape)
+            return np.exp(-s) / np.sqrt(s)
+
+        val = integrate_semi_infinite(f, partition=partition)
+        assert val == pytest.approx(math.sqrt(math.pi), rel=1e-8)
+        assert shapes[0] == (15,) and len(shapes) > 1
+        assert set(shapes[1:]) == {(15,)}
+        # the seed call, then two calls per split, each adding one edge
+        assert len(shapes) == 1 + 2 * (len(partition) - 2)
+
+    def test_partition_keeps_riders_out_of_the_splits(self):
+        def rows(s, rider):
+            out = [np.exp(-s), np.exp(-s) / np.sqrt(s)]
+            return np.stack(out + [s * s * np.exp(-s)] if rider else out)
+
+        plain, ridden = [0.0, 0.5, 1.0], [0.0, 0.5, 1.0]
+        alone = integrate_semi_infinite(lambda s: rows(s, False),
+                                        partition=plain)
+        val = integrate_semi_infinite(lambda s: rows(s, True), riders=1,
+                                      partition=ridden)
+        assert np.array_equal(val[:2], alone)
+        assert plain == ridden
+        assert val[2] == pytest.approx(2.0, rel=1e-8)
+
+    def test_non_finite_integrand_on_a_partition_raises(self):
+        partition = [0.0, 0.25, 0.5, 1.0]
+        with pytest.raises(QuadratureError, match="not finite"):
+            integrate_semi_infinite(
+                lambda s: np.where(s > 50.0, np.nan, np.exp(-s)),
+                partition=partition)
+        assert partition == [0.0, 0.25, 0.5, 1.0]
+
     def test_vector_nonconvergence_carries_estimates(self):
         spec = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-14, max_subdivisions=9)
         with pytest.raises(QuadratureError) as err:

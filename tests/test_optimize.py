@@ -7,6 +7,7 @@ import pytest
 from scipy import optimize as _sopt
 
 import nmvmrisk as nr
+from nmvmrisk import mixing as mixmod
 from nmvmrisk import optimize as optmod
 from nmvmrisk.mixing import Gamma, Gig, InverseGaussian
 from nmvmrisk.nmvm import portfolio_moments, transform
@@ -423,6 +424,86 @@ class TestMeanRiskReduced:
         x_anchor = c[0] * tm_location.m + c[1] * tm_location.e_a
         assert np.allclose(sol.x_star, x_anchor, rtol=0.0, atol=1e-12)
         assert float(sol.x_star @ tm_location.m) >= k - 1e-12
+
+    @pytest.mark.parametrize("measure", ["cvar", "var"])
+    def test_integrand_calls_per_reduced_call(self, tm_location, monkeypatch,
+                                              measure):
+        # the solves of one call share their quadrature panels and Newton
+        # root: 55 (cvar) and 57 (var) integrand calls, where every pass
+        # seeding its own 8 panels took 660 and 720
+        calls = []
+        real = mixmod.integrate_semi_infinite
+
+        def counted(f, *args):
+            return real(lambda s: calls.append(s.size) or f(s), *args)
+
+        monkeypatch.setattr(mixmod, "integrate_semi_infinite", counted)
+        sol = solve_mean_risk_reduced(tm_location, measure, 0.05, k=0.001)
+        assert 0 < len(calls) <= 80
+        assert sol.diagnostics["quadrature_evaluations"] <= len(calls)
+
+    def test_diagnostics(self, tm_location, monkeypatch):
+        seen = self.count_solves(monkeypatch)
+        sol = solve_mean_risk_reduced(tm_location, "cvar", 0.05, k=0.001)
+        diag = sol.diagnostics
+        assert set(diag) == {"risk_solves", "quadrature_evaluations",
+                             "slsqp_iterations", "anchor_kept"}
+        assert diag["risk_solves"] == len(seen)
+        assert diag["quadrature_evaluations"] >= diag["risk_solves"]
+        assert diag["slsqp_iterations"] > 0
+        assert diag["anchor_kept"] is False
+        assert [type(v) for v in diag.values()] == [int, int, int, bool]
+        # without gamma0 the risk of Y_0 is priced once, before SLSQP
+        tm = _elliptical(np.array([0.01, 0.02, 0.0]), Gamma(0.3, 5.0))
+        diag = solve_mean_risk_reduced(tm, "cvar", 0.05, k=-1.0).diagnostics
+        assert diag["risk_solves"] == 1
+        assert diag["quadrature_evaluations"] >= 1
+
+    def test_nothing_to_optimize_keeps_the_anchor(self):
+        model = nr.NmvmModel(mu=np.zeros(2), gamma=np.zeros(2),
+                             sigma=np.eye(2), mixing=Gamma(1.0, 1.0))
+        tm = transform(model, mode="mean_risk")
+        diag = solve_mean_risk_reduced(tm, "cvar", 0.05, k=-1.0).diagnostics
+        assert diag["slsqp_iterations"] == 0 and diag["anchor_kept"] is True
+
+    def test_shared_state_ends_with_the_call(self, tm_location):
+        # nothing carries over from one call to the next
+        first = solve_mean_risk_reduced(tm_location, "var", 0.05, k=0.001)
+        solve_mean_risk_reduced(tm_location, "cvar", 0.01, k=0.004)
+        again = solve_mean_risk_reduced(tm_location, "var", 0.05, k=0.001)
+        assert np.array_equal(first.x_star, again.x_star)
+        assert first.diagnostics == again.diagnostics
+
+    @pytest.mark.parametrize("law", ["skew", "location", "gamma_0.5",
+                                     "gamma_2", "ig_1"])
+    def test_shared_state_keeps_the_optimum(self, request, location_model,
+                                            monkeypatch, law):
+        # the same solves with every risk solve stateless, as each one was
+        # before the solves of a call shared their panels and root
+        if law == "skew":
+            model = request.getfixturevalue("skew_model")
+        else:
+            mixing = {"location": location_model.mixing,
+                      "gamma_0.5": Gamma(0.5, 0.5), "gamma_2": Gamma(2.0, 2.0),
+                      "ig_1": InverseGaussian(1.0, 1.0)}[law]
+            model = nr.NmvmModel(mu=location_model.mu,
+                                 gamma=location_model.gamma,
+                                 sigma=location_model.sigma, mixing=mixing)
+        tm = transform(model, mode="mean_risk")
+        cases = [(measure, beta, k) for measure in ("cvar", "var")
+                 for beta in (0.1, 0.05, 0.01) for k in (-0.01, 0.002, 0.01)]
+        shared = [solve_mean_risk_reduced(tm, *case[:2], k=case[2]).x_star
+                  for case in cases]
+
+        def stateless(law, measure, beta, state=None):
+            return risk_ya_and_slope(law, measure, beta)
+
+        monkeypatch.setattr(optmod, "risk_ya_and_slope", stateless)
+        for (measure, beta, k), x in zip(cases, shared):
+            alone = solve_mean_risk_reduced(tm, measure, beta, k=k).x_star
+            want = portfolio_risk_exact(tm, alone, measure, beta).value
+            got = portfolio_risk_exact(tm, x, measure, beta).value
+            assert got == pytest.approx(want, rel=1e-10)
 
     def test_gram_spd_for_reference_model(self, tm_location):
         basis = np.column_stack([tm_location.mu0, tm_location.gamma0,
