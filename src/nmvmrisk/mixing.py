@@ -105,12 +105,11 @@ class MixingLaw:
         raise NotImplementedError
 
     def expect(self, f: Callable, spec: QuadratureSpec | None = None,
-               riders: int = 0, partition: list | None = None):
+               partition: list | None = None):
         """E[f(Z)] by quadrature over u > 0 of c f(c u) p(c u), p the density
         and c = scale(), the unit of the quadrature map; f maps arrays
         elementwise. An f that returns shape (k, n) for n nodes gives the k
-        expectations as an array, from one quadrature on shared nodes, whose
-        last `riders` components ride on the panels the others choose. A
+        expectations as an array, from one quadrature on shared nodes. A
         `partition` seeds the quadrature with an earlier call's panels and
         receives this call's (both as in integrate_semi_infinite); its edges
         are in the map's variable, so it serves calls on this law only."""
@@ -118,7 +117,7 @@ class MixingLaw:
         with np.errstate(under="ignore"):
             return integrate_semi_infinite(
                 lambda u: c * f(c * u) * self._density_pos(c * u), spec,
-                riders, partition)
+                partition)
 
     @staticmethod
     def _check_count(n: int):
@@ -333,7 +332,7 @@ class Degenerate(MixingLaw):
         return np.ones(n)
 
     def expect(self, f: Callable, spec: QuadratureSpec | None = None,
-               riders: int = 0, partition: list | None = None):
+               partition: list | None = None):
         val = np.asarray(f(np.array([1.0])), dtype=float)[..., 0]
         return val if val.ndim else float(val)
 

@@ -5,9 +5,11 @@ Writing y_beta(a) for the VaR of Y_a at level beta, the quantile equation is
 
     beta = E[ Phi((-y_beta(a) - a Z) / sqrt(Z)) ]
 
-solved by safeguarded Newton iteration from the moment-matched normal
-quantile; its slope in y is -f_a(-y), the density of Y_a, which each step
-gets from the same quadrature pass as the CDF F(-y). A CVaR solve adds the
+solved by safeguarded Newton iteration from the quantile of the normal law
+of mean a c and spread sqrt(c + a^2 c^2), c = scale() (EZ where it
+exists), so laws without moments start the same way; its slope in y is
+-f_a(-y), the density of Y_a, which each step gets from the same
+quadrature pass as the CDF F(-y). A CVaR solve adds the
 tail T(y) = E[ a Z Phi(z) - sqrt(Z) phi(z) ], z = (-y - a Z)/sqrt(Z), to
 each pass and reads, at its last abscissa y,
 
@@ -43,7 +45,7 @@ from scipy import special as _sspec
 
 from .mathkit import (DEFAULT_QUADRATURE, BracketError, QuadratureError,
                       find_root, log_bessel_k, normal_quantile)
-from .mixing import Gig, MixingLaw, MomentError, gig_log_norm
+from .mixing import Gig, MixingLaw, gig_log_norm
 from .nmvm import TransformedModel, UnivariateMixture
 
 __all__ = [
@@ -162,15 +164,14 @@ def var_ya(law: YaLaw, beta: float) -> float:
 
     Solves beta - P(Y_a <= -y) = 0, increasing in y with slope f_a(-y), by
     safeguarded Newton iteration (find_root, to 1e-12 in y) from the normal
-    quantile y0 = -(a EZ + sqrt(EZ + a^2 Var Z) Phi^-1(beta)) of Y_a's mean
-    and variance; a law without E[Z^3] (a heavy-tailed inverse gamma, say)
-    takes c = scale() for EZ and c^2 for Var Z. Each step is one mixture
-    quadrature pass that gives the CDF and the density of Y_a together. A
-    step that would leave the bracket becomes a bisection; while the
-    quantile is not yet bracketed it becomes a step of one standard
-    deviation of Y_a toward it, doubled each time (at most 60, for
-    heavy-tailed mixing at small beta). Y_0 is symmetric, so
-    its median is 0 without a solve.
+    quantile y0 = -(a c + sqrt(c + a^2 c^2) Phi^-1(beta)), c = scale(),
+    which is EZ where it exists, so a heavy-tailed law without moments
+    starts the same way. Each step is one mixture quadrature pass that
+    gives the CDF and the density of Y_a together. A step that would leave
+    the bracket becomes a bisection; while the quantile is not yet
+    bracketed it becomes a step of the start's spread toward it, doubled
+    each time (at most 60, for heavy-tailed mixing at small beta). Y_0 is
+    symmetric, so its median is 0 without a solve.
     """
     _check_beta(beta)
     return _solve(law, "var", beta)[0]
@@ -198,14 +199,16 @@ def _solve(law: YaLaw, measure: str, beta: float, start: float | None = None,
            slope: bool = False,
            state: _SolveState | None = None) -> tuple[float, int, float]:
     """(risk(Y_a), its number of mixture quadrature passes, d risk(Y_a)/da),
-    solved from `start` (default: the normal quantile of Y_a's mean and
-    variance, or of a Z + sqrt(Z) N with Z at c = scale() and spread
-    sqrt(c + a^2 c^2) where the law lacks the moments). Each Newton pass at
-    y integrates the CDF F and the density of Y_a at -y on shared nodes and,
-    for CVaR only, the tail T = E[Y_a; Y_a <= -y]; the CVaR is read at the
-    last abscissa x as x + (-T - x F)/beta, which is stationary at the VaR.
-    With `slope`, each pass adds the row of the a-derivative (see the module
-    docstring), read at the last abscissa; without it the slope is nan.
+    solved from `start` (default: the normal quantile of mean a c and
+    spread sqrt(c + a^2 c^2), c = scale(), which is EZ where it exists).
+    Each Newton pass at y integrates the CDF F and the density of Y_a at -y
+    on shared nodes and, for CVaR only, the tail T = E[Y_a; Y_a <= -y]; the
+    CVaR is read at the last abscissa x as x + (-T - x F)/beta, which is
+    stationary at the VaR. With `slope`, each pass adds the row of the
+    a-derivative (see the module docstring), read at the last abscissa;
+    without it the slope is nan. Every row, the slope's too, steers the
+    quadrature's panels, so a value with the slope differs from one without
+    it within the quadrature tolerance.
 
     A `state` carries one caller's solves at one mixing law into each
     other: every pass seeds its quadrature with the previous pass's panels,
@@ -217,15 +220,7 @@ def _solve(law: YaLaw, measure: str, beta: float, start: float | None = None,
     tail = measure == "cvar"
     passes = 0
     last = None
-    # expect gets only the keywords in use: a stateless, slope-free pass
-    # calls expect(integrand) alone
-    keywords = {}
-    if slope:
-        # the slope row rides on the priced rows' panels, so the value is
-        # the slope-free solve's, bit for bit
-        keywords["riders"] = 1
-    if state is not None:
-        keywords["partition"] = state.partition
+    partition = None if state is None else state.partition
 
     def rows(y, density):
         def integrand(s):
@@ -239,7 +234,7 @@ def _solve(law: YaLaw, measure: str, beta: float, start: float | None = None,
             if slope:
                 out.append(s * cdf if tail else root * gauss)
             return np.stack(out if density else [cdf, *out[2:]])
-        return law.mixing.expect(integrand, **keywords)
+        return law.mixing.expect(integrand, partition=partition)
 
     def objective(y):
         # increasing in y, with slope f_a(-y)
@@ -262,18 +257,12 @@ def _solve(law: YaLaw, measure: str, beta: float, start: float | None = None,
         if tail or slope:
             objective(root)
     else:
-        try:
-            mm = law.mixing.moments()
-            ez, var = mm.ez, mm.var
-        except MomentError:
-            # E[Z^3] (or a lower moment) is infinite: the scale stands in
-            ez = law.mixing.scale()
-            var = ez * ez
-        sd = math.sqrt(ez + a * a * var)
+        c = law.mixing.scale()
+        sd = math.sqrt(c + a * a * c * c)
         if start is None and state is not None:
             start = state.root
         if start is None:
-            start = -(a * ez + sd * normal_quantile(beta))
+            start = -(a * c + sd * normal_quantile(beta))
         try:
             root = find_root(objective, start, sd)
         except BracketError as exc:
@@ -303,7 +292,8 @@ def risk_ya(law: YaLaw, measure: str, beta: float) -> float:
 
 def risk_ya_and_slope(law: YaLaw, measure: str, beta: float,
                       state: _SolveState | None = None) -> tuple[float, float]:
-    """(risk(Y_a), d risk(Y_a)/da) from one solve: the value is risk_ya's,
+    """(risk(Y_a), d risk(Y_a)/da) from one solve: the value is risk_ya's
+    within the quadrature tolerance (the slope row also steers the panels),
     and the slope is read at the solve's last abscissa (nan where the
     density of Y_a there is not finite, for VaR). A `state` (see _solve)
     carries the quadrature panels and the Newton root of one caller's
@@ -473,24 +463,20 @@ def rockafellar_F(um: UnivariateMixture, alpha: float, beta: float) -> float:
 def cvar_via_F(um: UnivariateMixture, beta: float) -> float:
     """CVaR of the loss -Y at level beta as min_alpha F_beta(alpha).
 
-    One-dimensional convex minimization over a bracket placed by EZ and the
-    spread sqrt(Var Z), or by scale() for both where the law lacks the
-    moments (heavy tails); agrees with the tail-integral CVaR of the return
-    at level 1 - beta. Raises ArithmeticError when the minimizer lies at an
-    end of the bracket.
+    One-dimensional convex minimization over a bracket placed by c =
+    scale(), which stands for both EZ and the spread of Z, so a law without
+    moments (heavy tails) takes the same bracket; agrees with the
+    tail-integral CVaR of the return at level 1 - beta. Raises
+    ArithmeticError when the minimizer lies at an end of the bracket.
     """
     # imported here: scipy.optimize adds ~0.3 s to every package import
     from scipy.optimize import minimize_scalar
     _check_beta(beta)
-    try:
-        mm = um.mixing.moments()
-        ez, spread = mm.ez, math.sqrt(mm.var)
-    except MomentError:
-        ez = spread = um.mixing.scale()
-    center = -(um.loc + um.skew_coef * ez) - \
-        um.scale * math.sqrt(ez) * normal_quantile(1.0 - beta)
-    width = 12.0 * (um.scale * math.sqrt(ez) + abs(um.skew_coef) * ez
-                    + spread * abs(um.skew_coef) + 1e-12)
+    c = um.mixing.scale()
+    center = -(um.loc + um.skew_coef * c) - \
+        um.scale * math.sqrt(c) * normal_quantile(1.0 - beta)
+    width = 12.0 * (um.scale * math.sqrt(c) + 2.0 * abs(um.skew_coef) * c
+                    + 1e-12)
     lo, hi = center - width, center + width
     res = minimize_scalar(
         lambda alpha: rockafellar_F(um, alpha, beta), bounds=(lo, hi),

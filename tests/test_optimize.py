@@ -10,11 +10,12 @@ import nmvmrisk as nr
 from nmvmrisk import mixing as mixmod
 from nmvmrisk import optimize as optmod
 from nmvmrisk.mixing import Gamma, Gig, InverseGaussian
-from nmvmrisk.nmvm import portfolio_moments, transform
+from nmvmrisk.nmvm import portfolio_moments, project, transform
 from nmvmrisk.optimize import (DegenerateConstraintsError, SingularGramError,
                                check_skew_monotonicity, frontier,
                                solve_mean_risk_reduced, solve_mean_risk_skew)
-from nmvmrisk.risk import (YaLaw, portfolio_risk_exact, risk_ya,
+from nmvmrisk.risk import (YaLaw, cvar_via_F, portfolio_risk_exact,
+                           portfolio_risk_two_point, risk_ya,
                            risk_ya_and_slope)
 
 # golden five-column weight table for the skew model; the five target
@@ -533,6 +534,53 @@ class TestMeanRiskReduced:
         tm = transform(model, mode="mean_risk")
         with pytest.raises(ValueError, match="beta|measure"):
             solve_mean_risk_reduced(tm, measure, beta, k=-1.0)
+
+
+class TestOneAsset:
+    """A one-asset model: every x is parallel to gamma0 and to e_A."""
+
+    MIXING = Gig(-0.5, 1.0, 1.0)
+
+    def model(self, mu=0.01, gamma=0.02):
+        return nr.NmvmModel(mu=[mu], gamma=[gamma], sigma=[[0.04]],
+                            mixing=self.MIXING)
+
+    @pytest.mark.parametrize("x", [0.2, -0.3])
+    @pytest.mark.parametrize("measure", ["var", "cvar"])
+    def test_chord_is_exact(self, x, measure):
+        # cos(x, gamma0) = +-1, the chord's ends
+        model = self.model()
+        tm = transform(model, mode="mean_risk")
+        x = np.array([x])
+        exact = portfolio_risk_exact(tm, x, measure, 0.05)
+        assert abs(exact.diagnostics["cos_theta"]) == 1.0
+        assert exact.value == pytest.approx(
+            portfolio_risk_two_point(tm, x, measure, 0.05).value, rel=1e-14)
+        if measure == "cvar":
+            um = project(model, tm.weights_from_x(x))
+            assert exact.value == pytest.approx(cvar_via_F(um, 0.95),
+                                                rel=1e-12)
+
+    def test_skew_solver_and_frontier(self):
+        tm = transform(self.model(), mode="skew")
+        # m and e_A are parallel: no portfolio meets two constraints
+        with pytest.raises(DegenerateConstraintsError, match="parallel"):
+            solve_mean_risk_skew(tm, 0.002)
+        points = frontier(tm, [0.001, 0.002], 0.05)
+        assert len(points) == 2
+        assert all(p.error and "parallel" in p.error for p in points)
+        assert all(math.isnan(p.cvar) for p in points)
+
+    def test_reduced_solver(self):
+        tm = transform(self.model(), mode="mean_risk")
+        with pytest.raises(SingularGramError, match="collinear"):
+            solve_mean_risk_reduced(tm, "cvar", 0.05, k=0.0)
+        # with mu = gamma = 0 both directions drop out: x = 1/e_A = 0.2, the
+        # one portfolio with x^T e_A = 1
+        tm = transform(self.model(mu=0.0, gamma=0.0), mode="mean_risk")
+        for measure in ("var", "cvar"):
+            sol = solve_mean_risk_reduced(tm, measure, 0.05, k=0.0)
+            assert sol.x_star == pytest.approx([0.2], rel=1e-12)
 
 
 class TestHypothesisCheck:

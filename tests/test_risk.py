@@ -17,7 +17,7 @@ from scipy.special import ndtr
 
 import nmvmrisk as nr
 from nmvmrisk import risk as riskmod
-from nmvmrisk.mathkit import QuadratureSpec, normal_quantile
+from nmvmrisk.mathkit import QuadratureError, QuadratureSpec, normal_quantile
 from nmvmrisk.mixing import Degenerate, Gamma, Gig, InverseGaussian
 from nmvmrisk.nmvm import UnivariateMixture, project, transform
 from nmvmrisk.risk import (YaLaw, cdf_ya, clear_caches, cvar_via_F, cvar_ya,
@@ -160,7 +160,8 @@ class TestVarYa:
     @pytest.mark.parametrize("model", ["tm_location", "tm_skew"])
     @pytest.mark.parametrize("beta", [0.1, 0.05, 0.01])
     def test_newton_passes_per_solve(self, request, model, beta):
-        # from the moment-matched start, Newton needs 4-6 passes here
+        # from the normal start at c = scale(), Newton needs 4-6 passes
+        # here
         tm = request.getfixturevalue(model)
         b = tm.gamma0_norm
         for ratio in (-1.0, -0.6, -0.3, 0.0, 0.4, 0.8, 1.0):
@@ -190,9 +191,9 @@ class TestVarYa:
             objectives.append(f)
             return orig_root(f, x0, step)
 
-        def counted(self, f, spec=None):
+        def counted(self, f, spec=None, partition=None):
             passes.append(f)
-            return orig_expect(self, f, spec)
+            return orig_expect(self, f, spec, partition)
 
         monkeypatch.setattr(riskmod, "find_root", captured)
         monkeypatch.setattr(type(mixing), "expect", counted)
@@ -681,10 +682,13 @@ def test_cdf_of_a_large_scale_law():
     measure=st.sampled_from(["var", "cvar"]))
 @settings(max_examples=100, deadline=None)
 def test_slope_matches_central_difference(law, a, beta, measure):
-    # the slope row rides on the priced rows' panels, so the value is
-    # risk_ya's bit for bit
+    # the slope row also steers the quadrature's panels, so the two values
+    # differ by the quadratures' errors, well inside the 1e-8 relative
+    # tolerance: 9e-11 relative at worst over 1500 random draws from this
+    # domain, where the slope-steered value was the accurate one
     value, slope = risk_ya_and_slope(YaLaw(a, law), measure, beta)
-    assert value == risk_ya(YaLaw(a, law), measure, beta)
+    assert value == pytest.approx(risk_ya(YaLaw(a, law), measure, beta),
+                                  rel=1e-9)
     step = 1e-5
     central = (risk_ya(YaLaw(a + step, law), measure, beta)
                - risk_ya(YaLaw(a - step, law), measure, beta)) / (2.0 * step)
@@ -716,6 +720,33 @@ def test_student_t_var_and_cvar_property(dof, log_chi, beta):
     assert var == pytest.approx(unit * q, rel=1e-8)
     assert passes <= 12
     assert cvar_ya(law, beta) == pytest.approx(unit * shortfall, rel=1e-8)
+
+
+def _student_t_cvar(dof: float, beta: float) -> float:
+    """CVaR at level beta of a unit Student t with dof degrees of freedom."""
+    q = stats.t.ppf(1.0 - beta, dof)
+    return stats.t.pdf(q, dof) / beta * (dof + q * q) / (dof - 1.0)
+
+
+def test_cvar_at_two_dof():
+    # Student t with 2 dof, Z ~ GIG(-1, 2, 0): at beta 0.001 a node of the
+    # last panel rounds to t = 1, where s = t/(1-t) was inf; the map clips
+    # 1 - t at epsneg. The error, 1.3e-7 relative, is ~13x the quadrature's
+    # nominal bound
+    law = YaLaw(0.0, Gig(-1.0, 2.0, 0.0))
+    assert cvar_ya(law, 0.001) == pytest.approx(_student_t_cvar(2.0, 0.001),
+                                                rel=1e-6)
+
+
+@pytest.mark.xfail(strict=True, raises=QuadratureError,
+                   reason="for 1 < dof < 2 the tail integrand in t is "
+                   "singular at t = 1: the adaptive splits do not converge "
+                   "within 200 subdivisions")
+def test_cvar_below_two_dof():
+    # Student t with 1.5 dof, Z ~ GIG(-0.75, 1.5, 0): the CVaR is finite
+    law = YaLaw(0.0, Gig(-0.75, 1.5, 0.0))
+    assert cvar_ya(law, 0.05) == pytest.approx(_student_t_cvar(1.5, 0.05),
+                                               rel=1e-6)
 
 
 @given(law=st.one_of(
