@@ -10,6 +10,7 @@ concurrently.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -19,6 +20,7 @@ from scipy import special as _sspec
 __all__ = [
     "QuadratureSpec",
     "QuadratureError",
+    "QuadratureWarning",
     "BracketError",
     "log_bessel_k",
     "normal_cdf",
@@ -40,6 +42,10 @@ class QuadratureError(ArithmeticError):
         super().__init__(message)
         self.estimate = estimate
         self.error_bound = error_bound
+
+
+class QuadratureWarning(RuntimeWarning):
+    """A quadrature result rests on nodes clipped short of s = inf."""
 
 
 class BracketError(ValueError):
@@ -200,8 +206,8 @@ def _eval_panels(f: Callable, edges: np.ndarray) -> list:
     y = y.reshape(y.shape[:-1] + (lo.size, _GK_NODES.size))
     val_k = half * (y @ _GK_WEIGHTS_K)
     err = np.abs(val_k - half * (y @ _GK_WEIGHTS_G))
-    return [(float(err[..., j].max()), lo[j], hi[j], val_k[..., j],
-             err[..., j]) for j in range(lo.size)]
+    keys = err.max(axis=0) if err.ndim > 1 else err
+    return list(zip(keys.tolist(), lo.tolist(), hi.tolist(), val_k.T, err.T))
 
 
 def _converged(total, bound, spec: QuadratureSpec) -> bool:
@@ -236,7 +242,8 @@ def integrate_semi_infinite(f: Callable, spec: QuadratureSpec | None = None,
     Raises QuadratureError (carrying the best estimate and bound) if the
     subdivision budget is exhausted first, and at the first call where the
     integrand is not finite; raises ValueError when f's output does not have
-    the shape of its input.
+    the shape of its input. Warns QuadratureWarning where the last panel's
+    nodes round to t = 1: the integrand beyond them goes unseen.
     """
     spec = spec or DEFAULT_QUADRATURE
     if partition:
@@ -261,6 +268,13 @@ def integrate_semi_infinite(f: Callable, spec: QuadratureSpec | None = None,
         panels.sort(key=lambda p: p[0])
         _, lo, hi, _, _ = panels.pop()
         panels += _eval_panels(f, np.array([lo, 0.5 * (lo + hi), hi]))
+    # the nodes rise with t, so the last panel's top node shows a clip
+    last = max(p[1] for p in panels)
+    if last + 0.5 * (1.0 - last) * (_GK_NODES[-1] + 1.0) >= 1.0:
+        warnings.warn(
+            f"quadrature nodes in [{last}, 1] were clipped to 1 - t = epsneg: "
+            f"the integrand beyond s = {last / (1.0 - last):.6g} went unseen, "
+            f"so {total} may miss the tolerance", QuadratureWarning, 2)
     if partition is not None:
         # the panels tile [0, 1], so their ends are the edges
         partition[:] = sorted({float(t) for p in panels for t in p[1:3]})

@@ -73,9 +73,9 @@ class FrontierPoint:
 @dataclass(frozen=True)
 class ReducedSolution:
     """The reduced optimum. diagnostics holds risk_solves (scalar-risk
-    solves), quadrature_evaluations (their Newton passes, summed),
-    slsqp_iterations and anchor_kept (whether the anchor stood in for
-    SLSQP's result, or nothing was left to optimize)."""
+    solves), quadrature_evaluations (their quadrature passes, Newton's and
+    the slopes', summed), slsqp_iterations and anchor_kept (whether the
+    anchor stood in for SLSQP's result, or nothing was left to optimize)."""
 
     mu_tilde_star: float
     gamma_tilde_star: float

@@ -17,7 +17,7 @@ each pass and reads, at its last abscissa y,
 
 the auxiliary function of Rockafellar & Uryasev (2000), which is stationary
 in y at y_beta(a). Both measures have a-derivatives that are mixture
-integrals on the same nodes, z at the solved y:
+integrals with z at the solved y, priced by one more pass there:
 
     d y_beta/da    = -E[ sqrt(Z) phi(z) ] / E[ phi(z) / sqrt(Z) ],
     d CVaR_beta/da = -E[ Z Phi(z) ] / beta,
@@ -188,7 +188,7 @@ class _SolveState:
     """What the successive solves of one caller at one mixing law, measure
     and level share: the edges of the last pass's quadrature panels (see
     integrate_semi_infinite's partition), the last Newton root, and the
-    Newton passes summed over the solves."""
+    quadrature passes summed over the solves."""
 
     partition: list = field(default_factory=list)
     root: float | None = None
@@ -204,25 +204,27 @@ def _solve(law: YaLaw, measure: str, beta: float, start: float | None = None,
     Each Newton pass at y integrates the CDF F and the density of Y_a at -y
     on shared nodes and, for CVaR only, the tail T = E[Y_a; Y_a <= -y]; the
     CVaR is read at the last abscissa x as x + (-T - x F)/beta, which is
-    stationary at the VaR. With `slope`, each pass adds the row of the
-    a-derivative (see the module docstring), read at the last abscissa;
-    without it the slope is nan. Every row, the slope's too, steers the
-    quadrature's panels, so a value with the slope differs from one without
-    it within the quadrature tolerance.
+    stationary at the VaR. With `slope`, one more pass at the last
+    abscissa adds the row of the a-derivative (see the module docstring)
+    and reads it. That pass starts from the last Newton pass's final
+    panels, where the priced rows already meet the tolerance, so its
+    splits are the slope row's; the value comes from the Newton passes
+    alone and is the one without `slope`, bit for bit. Without `slope` the
+    slope is nan.
 
     A `state` carries one caller's solves at one mixing law into each
-    other: every pass seeds its quadrature with the previous pass's panels,
-    the default start is the last solve's root, and the passes are added to
-    state.passes. Values then differ from a stateless solve's within the
-    quadrature and root tolerances. Without a state a solve depends on its
-    arguments alone."""
+    other: every pass, a slope's too, seeds its quadrature with the
+    previous pass's panels, the default start is the last solve's root,
+    and the passes are added to state.passes. Values then differ from a
+    stateless solve's within the quadrature and root tolerances. Without a
+    state a solve depends on its arguments alone."""
     a = law.a
     tail = measure == "cvar"
     passes = 0
     last = None
     partition = None if state is None else state.partition
 
-    def rows(y, density):
+    def rows(y, density, with_slope=False):
         def integrand(s):
             root = np.sqrt(s)
             z = (-y - a * s) / root
@@ -231,15 +233,18 @@ def _solve(law: YaLaw, measure: str, beta: float, start: float | None = None,
             out = [cdf, gauss / root]
             if tail:
                 out.append(s * (a * cdf - out[1] / _SQRT_2PI))
-            if slope:
+            if with_slope:
                 out.append(s * cdf if tail else root * gauss)
             return np.stack(out if density else [cdf, *out[2:]])
         return law.mixing.expect(integrand, partition=partition)
 
     def objective(y):
         # increasing in y, with slope f_a(-y)
-        nonlocal passes, last
+        nonlocal passes, last, partition
         passes += 1
+        if slope and state is None:
+            # seeds as without a partition and keeps this pass's panels
+            partition = []
         try:
             cdf, density, *rest = rows(y, True)
         except QuadratureError:
@@ -269,19 +274,22 @@ def _solve(law: YaLaw, measure: str, beta: float, start: float | None = None,
             raise ArithmeticError(
                 f"could not bracket the {beta}-quantile of Y_a (a={a}): "
                 f"{exc}") from exc
-    if state is not None:
-        state.root = root
-        state.passes += passes
-    value = root
+    value, d_value = root, math.nan
     if tail:
         x, cdf, _, (t, *_) = last
         value = x + (-float(t) - x * cdf) / beta
-    if not slope:
-        return value, passes, math.nan
-    # the slope row over -beta for CVaR, over minus the density row for VaR
-    _, _, density, rest = last
-    over = beta if tail else float(density)
-    return value, passes, -float(rest[-1]) / over if over > 0.0 else math.nan
+    if slope:
+        # the slope row over -beta for CVaR, over minus the density row
+        # for VaR
+        x, _, density, _ = last
+        over = beta if tail else float(density)
+        if over > 0.0:
+            passes += 1
+            d_value = -float(rows(x, not math.isnan(density), True)[-1]) / over
+    if state is not None:
+        state.root = root
+        state.passes += passes
+    return value, passes, d_value
 
 
 def risk_ya(law: YaLaw, measure: str, beta: float) -> float:
@@ -293,12 +301,12 @@ def risk_ya(law: YaLaw, measure: str, beta: float) -> float:
 def risk_ya_and_slope(law: YaLaw, measure: str, beta: float,
                       state: _SolveState | None = None) -> tuple[float, float]:
     """(risk(Y_a), d risk(Y_a)/da) from one solve: the value is risk_ya's
-    within the quadrature tolerance (the slope row also steers the panels),
-    and the slope is read at the solve's last abscissa (nan where the
-    density of Y_a there is not finite, for VaR). A `state` (see _solve)
-    carries the quadrature panels and the Newton root of one caller's
-    solves at one mixing law, measure and level from solve to solve; the
-    value is then risk_ya's within the quadrature and root tolerances."""
+    bit for bit, and the slope is read by one more pass at the solve's
+    last abscissa (nan where the density of Y_a there is not finite, for
+    VaR). A `state` (see _solve) carries the quadrature panels and the
+    Newton root of one caller's solves at one mixing law, measure and level
+    from solve to solve; the value is then risk_ya's within the quadrature
+    and root tolerances."""
     _check_measure(measure)
     _check_beta(beta)
     value, _, slope = _solve(law, measure, beta, slope=True, state=state)
@@ -465,9 +473,11 @@ def cvar_via_F(um: UnivariateMixture, beta: float) -> float:
 
     One-dimensional convex minimization over a bracket placed by c =
     scale(), which stands for both EZ and the spread of Z, so a law without
-    moments (heavy tails) takes the same bracket; agrees with the
-    tail-integral CVaR of the return at level 1 - beta. Raises
-    ArithmeticError when the minimizer lies at an end of the bracket.
+    moments (heavy tails) takes the same bracket. A minimizer at an end of
+    it (far in a tail where sd(Z) exceeds c) moves the bracket to that end
+    at twice the width, up to 10 times; one still at an end raises
+    ArithmeticError. Agrees with the tail-integral CVaR of the return at
+    level 1 - beta.
     """
     # imported here: scipy.optimize adds ~0.3 s to every package import
     from scipy.optimize import minimize_scalar
@@ -477,17 +487,21 @@ def cvar_via_F(um: UnivariateMixture, beta: float) -> float:
         um.scale * math.sqrt(c) * normal_quantile(1.0 - beta)
     width = 12.0 * (um.scale * math.sqrt(c) + 2.0 * abs(um.skew_coef) * c
                     + 1e-12)
-    lo, hi = center - width, center + width
-    res = minimize_scalar(
-        lambda alpha: rockafellar_F(um, alpha, beta), bounds=(lo, hi),
-        method="bounded", options={"xatol": 1e-10})
-    if not res.success:
-        raise ArithmeticError(f"auxiliary-function minimization failed: {res.message}")
-    # where F still falls at an end, the search stops ~3e-8 |alpha| from it
-    if min(res.x - lo, hi - res.x) <= 1e-6 * (hi - lo) + 1e-7 * abs(res.x):
-        raise ArithmeticError(
-            f"the minimizer of F lies at an end of its bracket [{lo}, {hi}]")
-    return float(res.fun)
+    for _ in range(11):  # the first bracket, then up to 10 moves
+        lo, hi = center - width, center + width
+        res = minimize_scalar(
+            lambda alpha: rockafellar_F(um, alpha, beta), bounds=(lo, hi),
+            method="bounded", options={"xatol": 1e-10})
+        if not res.success:
+            raise ArithmeticError(
+                f"auxiliary-function minimization failed: {res.message}")
+        # where F still falls at an end, the search stops ~3e-8 |alpha| from
+        # it; F is convex, so its minimizer lies beyond that end
+        if min(res.x - lo, hi - res.x) > 1e-6 * (hi - lo) + 1e-7 * abs(res.x):
+            return float(res.fun)
+        center, width = res.x, 2.0 * width
+    raise ArithmeticError(
+        f"the minimizer of F lies at an end of its bracket [{lo}, {hi}]")
 
 
 # ---------------------------------------------------------------------------

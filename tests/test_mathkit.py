@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from nmvmrisk.mathkit import (BracketError, QuadratureError, QuadratureSpec,
-                              find_root, integrate_semi_infinite,
+                              QuadratureWarning, find_root,
+                              integrate_semi_infinite,
                               log_bessel_k, normal_cdf, normal_quantile)
 from nmvmrisk.mixing import Gig
 
@@ -284,6 +285,15 @@ class TestQuadrature:
         # splits, each adding one edge
         assert shapes == [(15,)] + [(30,)] * 47
         assert len(partition) == 2 + 47
+
+    def test_clipped_nodes_warn(self):
+        # (1+s)^-1.4 is (1-t)^-0.6 in t, singular at t = 1: the splits run
+        # the last panel down until its top nodes round to t = 1, where
+        # 1 - t is clipped at epsneg; the estimate misses 2.5 by 2.4e-7
+        # relative, past the 1e-8 tolerance, and says so
+        with pytest.warns(QuadratureWarning, match="clipped"):
+            val = integrate_semi_infinite(lambda s: (1.0 + s) ** -1.4)
+        assert val == pytest.approx(2.5, rel=1e-6)
 
     def test_non_finite_integrand_on_a_partition_raises(self):
         partition = [0.0, 0.25, 0.5, 1.0]
