@@ -6,7 +6,9 @@ the E-step computes the conditional moments E[Z | x], E[1/Z | x] (and
 E[log Z | x] when the index parameter is free) from the conjugate posterior,
 one CM cycle updates (mu, gamma, Sigma) in closed form, and a second CM cycle
 improves the mixing parameters numerically. The E-step kernel that ends each
-iteration also gives its closed-form log-likelihood, which never decreases.
+step also gives its closed-form log-likelihood, which never decreases. Where
+the EM crawls, SQUAREM extrapolates two steps and keeps the result only when
+it does not lower the log-likelihood.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import json
 import math
 import numbers
 import sys
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, field
 from datetime import date
 
 import numpy as np
@@ -75,6 +77,10 @@ class ReturnsMatrix:
         return self.values.shape[1]
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class FitConfig:
     lambda_mode: str = "fixed"
@@ -94,15 +100,18 @@ class FitConfig:
         if not isinstance(self.include_mu, (bool, np.bool_)):
             raise ValueError(f"include_mu must be true or false, "
                              f"got {self.include_mu!r}")
-        if not isinstance(self.lambda_value, numbers.Real):
-            raise ValueError(f"lambda_value must be a number, "
+        if not (_is_real(self.lambda_value)
+                and abs(self.lambda_value) <= sys.float_info.max):
+            raise ValueError(f"lambda_value must be a finite number, "
                              f"got {self.lambda_value!r}")
-        if not isinstance(self.max_iters, numbers.Integral) \
-                or self.max_iters < 1:
+        if not (isinstance(self.max_iters, numbers.Integral)
+                and not isinstance(self.max_iters, bool)
+                and self.max_iters >= 1):
             raise ValueError(f"max_iters must be an integer >= 1, "
                              f"got {self.max_iters!r}")
-        if not isinstance(self.ll_tol, numbers.Real) or self.ll_tol <= 0.0:
-            raise ValueError(f"ll_tol must be a positive number, "
+        if not (_is_real(self.ll_tol)
+                and 0.0 < self.ll_tol <= sys.float_info.max):
+            raise ValueError(f"ll_tol must be a finite positive number, "
                              f"got {self.ll_tol!r}")
 
 
@@ -112,6 +121,7 @@ class FitResult:
     log_likelihood_trace: list[float]
     iterations: int
     converged: bool
+    diagnostics: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +132,8 @@ def load_prices(path) -> ReturnsMatrix:
     """Read a price CSV (header `date,<asset1>,...`) into log returns.
 
     Rows with any empty cell are dropped (the count is reported); malformed
-    rows and non-positive prices raise PriceFileError naming the line.
+    rows and prices that are not finite and positive (nan, inf, 0, -5)
+    raise PriceFileError naming the line.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -164,9 +175,9 @@ def load_prices(path) -> ReturnsMatrix:
             except ValueError:
                 raise PriceFileError(
                     f"line {lineno}: non-numeric price") from None
-            if any(p <= 0.0 for p in prices):
+            if not all(0.0 < p < math.inf for p in prices):
                 raise PriceFileError(
-                    f"line {lineno}: prices must be positive")
+                    f"line {lineno}: prices must be finite and positive")
             dates.append(day)
             rows.append(prices)
     if len(rows) < 2:
@@ -213,10 +224,24 @@ def _whiten(x, mu, gamma, sigma):
     return chol, q, float(gamma_w @ gamma_w)
 
 
+def _kve_neighbours(p: float, z):
+    """kve at orders p - 1, p and p + 1 from two calls: at p and at the
+    neighbour nearer 0, the third by K_{p+1} = K_{p-1} + (2p/z) K_p (which
+    kve keeps, its scale e^z being the same at every order). The sum is
+    taken in the direction where both terms are positive, so nothing
+    cancels."""
+    k_p = _sspec.kve(p, z)
+    if p >= 0.0:
+        k_lo = _sspec.kve(p - 1.0, z)
+        return k_lo, k_p, k_lo + (2.0 * p / z) * k_p
+    k_hi = _sspec.kve(p + 1.0, z)
+    return k_hi - (2.0 * p / z) * k_p, k_p, k_hi
+
+
 def _estep(x, mu, gamma, sigma, lam, chi, psi, need_log: bool):
     """GH kernel at one parameter set: E[Z | x_i], E[1/Z | x_i], E[log Z | x_i]
-    (None unless need_log) and the log-likelihood, from one whitening and one
-    evaluation each of K_{p-1}, K_p and K_{p+1}. Z | x_i is GIG(p = lam - n/2,
+    (None unless need_log) and the log-likelihood, from one whitening and two
+    Bessel orders (`_kve_neighbours`). Z | x_i is GIG(p = lam - n/2,
     chi + Q_i, psi + rho) with Q_i the Mahalanobis distance of x_i and rho =
     gamma^T Sigma^{-1} gamma."""
     t, n = x.shape
@@ -226,9 +251,9 @@ def _estep(x, mu, gamma, sigma, lam, chi, psi, need_log: bool):
     psi_bar = psi + rho
     z = np.sqrt(chi_i * psi_bar)
     ratio = np.sqrt(chi_i / psi_bar)
-    k_p = _sspec.kve(p, z)
-    delta = ratio * (_sspec.kve(p + 1.0, z) / k_p)
-    eta = (_sspec.kve(p - 1.0, z) / k_p) / ratio
+    k_lo, k_p, k_hi = _kve_neighbours(p, z)
+    delta = ratio * (k_hi / k_p)
+    eta = (k_lo / k_p) / ratio
     if not (np.all(np.isfinite(delta)) and np.all(np.isfinite(eta))):
         bad = int(np.flatnonzero(~(np.isfinite(delta) & np.isfinite(eta)))[0])
         raise EMError(f"Bessel overflow in E-step at observation {bad}")
@@ -289,18 +314,103 @@ def _update_mixing(lam, chi, psi, t, sums, lambda_free):
     return lam, chi, psi
 
 
+def _mcecm_step(x, theta, delta, eta, include_mu, lambda_free, it):
+    """One MCECM step from theta = (mu, gamma, sigma, lam, chi, psi) and the
+    E-step weights of its kernel: cycle 1 (location, skewness, dispersion),
+    the cycle-2 kernel, the mixing update, and the kernel at the new
+    parameters, which gives their log-likelihood and the next step's
+    weights. Returns (theta, delta, eta, log-likelihood)."""
+    mu, gamma, sigma, lam, chi, psi = theta
+    t = x.shape[0]
+    # cycle 1: location, skewness, dispersion
+    delta_bar, eta_bar = float(delta.mean()), float(eta.mean())
+    if include_mu:
+        denom = delta_bar * eta_bar - 1.0
+        if abs(denom) < 1e-14:
+            raise EMError(f"degenerate E-step weights at iteration {it}")
+        x_bar = x.mean(axis=0)
+        gamma = (eta[:, None] * (x_bar - x)).mean(axis=0) / denom
+        mu = ((eta[:, None] * x).mean(axis=0) - gamma) / eta_bar
+    else:
+        gamma = x.mean(axis=0) / delta_bar
+    centered = x - mu
+    # O(T n) memory; keep einsum's default optimize=False: a matmul or
+    # an optimized contraction adds in another order and moves the fit
+    sigma = np.einsum("ti,tj,t->ij", centered, centered, eta) / t \
+        - delta_bar * np.outer(gamma, gamma)
+    sigma = 0.5 * (sigma + sigma.T)
+    eigvals = np.linalg.eigvalsh(sigma)
+    if eigvals[0] <= 0.0:
+        raise EMError(
+            f"dispersion update lost positive definiteness at iteration "
+            f"{it} (eigenvalue {eigvals[0]:.3e})")
+    # cycle 2: mixing parameters
+    delta, eta, xi, _ = _estep(x, mu, gamma, sigma, lam, chi, psi,
+                               need_log=lambda_free)
+    sums = (float(delta.sum()), float(eta.sum()),
+            float(xi.sum()) if xi is not None else None)
+    lam, chi, psi = _update_mixing(lam, chi, psi, t, sums, lambda_free)
+    delta, eta, _, ll = _estep(x, mu, gamma, sigma, lam, chi, psi,
+                               need_log=False)
+    return (mu, gamma, sigma, lam, chi, psi), delta, eta, ll
+
+
+def _crawling(trace: list[float]) -> bool:
+    """Whether each of the last two log-likelihood gains exceeds half the
+    gain before it, i.e. the EM converges linearly at a ratio above 0.5."""
+    if len(trace) < 4:
+        return False
+    g1, g2, g3 = (b - a for a, b in zip(trace[-4:], trace[-3:]))
+    return g2 > 0.5 * g1 and g3 > 0.5 * g2
+
+
+def _extrapolate(theta0, theta1, theta2):
+    """SQUAREM's point theta0 - 2 alpha r + alpha^2 v (Varadhan & Roland
+    2008, scheme S3) from two MCECM steps theta1 = F(theta0), theta2 =
+    F(theta1): r = theta1 - theta0, v = theta2 - 2 theta1 + theta0 and alpha
+    = min(-|r|/|v|, -1), over (mu, gamma, Sigma, lam, log chi, log psi).
+    Raises ArithmeticError where the point cannot be formed; Sigma may come
+    out not positive definite."""
+    p0, p1, p2 = (np.concatenate([mu, gamma, sigma.ravel(),
+                                  [lam, math.log(chi), math.log(psi)]])
+                  for mu, gamma, sigma, lam, chi, psi in (theta0, theta1,
+                                                          theta2))
+    r = p1 - p0
+    v = p2 - 2.0 * p1 + p0
+    alpha = min(-np.linalg.norm(r) / np.linalg.norm(v), -1.0)
+    point = p0 - 2.0 * alpha * r + alpha * alpha * v
+    n = theta0[0].size
+    return (point[:n], point[n:2 * n], point[2 * n:-3].reshape(n, n),
+            float(point[-3]), math.exp(point[-2]), math.exp(point[-1]))
+
+
 def mcecm_fit(rm: ReturnsMatrix, cfg: FitConfig | None = None,
               initial: NmvmModel | None = None) -> FitResult:
-    """Fit the mixture model to the return rows by multi-cycle ECM.
+    """Fit the mixture model to the return rows by multi-cycle ECM with
+    SQUAREM acceleration.
 
     Initialization: mu = sample mean (when included), gamma = 0, Sigma =
     sample covariance, mixing GIG(lambda_value, 1, 1); passing a model as
     `initial` warm-starts from its parameters instead (its mixing must be
-    GIG with chi > 0 and psi > 0). Iterates until the log-likelihood gain
-    drops below ll_tol or max_iters is reached; the returned trace is
-    non-decreasing. With identification="unit_ez" the fitted mixing law is
-    rescaled to unit mean with the compensating rescale of gamma and Sigma,
-    which leaves the law of X unchanged.
+    GIG with chi > 0 and psi > 0).
+
+    Each MCECM step (`_mcecm_step`) costs two E-step kernels. While the EM
+    crawls (`_crawling`) and at least 3 steps of max_iters are left, two
+    steps theta1 = F(theta0), theta2 = F(theta1) are extrapolated
+    (`_extrapolate`), and one kernel at that point and one stabilizing step
+    from it follow. That step is kept when its log-likelihood is at least
+    theta2's; otherwise, or when the point has a Sigma that is not positive
+    definite, a non-finite weight or an overflow, the fit continues from
+    theta2 and waits 2, 4, 8, ... steps before the next try. `iterations`
+    counts the steps run, kept or not, and stops at max_iters; the trace
+    holds the log-likelihood of each kept step, so it is non-decreasing.
+    The fit converges when two successive trace entries differ by less
+    than ll_tol. `diagnostics` gives kernel_evaluations,
+    extrapolations_tried and extrapolations_kept.
+
+    With identification="unit_ez" the fitted mixing law is rescaled to unit
+    mean with the compensating rescale of gamma and Sigma, which leaves the
+    law of X unchanged.
     """
     cfg = cfg or FitConfig()
     x = np.asarray(rm.values, dtype=float)
@@ -318,59 +428,63 @@ def mcecm_fit(rm: ReturnsMatrix, cfg: FitConfig | None = None,
         if initial.n != n:
             raise ValueError("warm-start model dimension mismatch")
         mu = initial.mu.copy() if include_mu else np.zeros(n)
-        gamma = initial.gamma.copy()
-        sigma = initial.sigma.copy()
-        lam, chi, psi = mix.lam, mix.chi, mix.psi
+        theta = (mu, initial.gamma.copy(), initial.sigma.copy(), mix.lam,
+                 mix.chi, mix.psi)
     else:
         mu = x.mean(axis=0) if include_mu else np.zeros(n)
-        sigma = np.atleast_2d(np.cov(x, rowvar=False, ddof=1))
-        gamma = np.zeros(n)
-        lam, chi, psi = cfg.lambda_value, 1.0, 1.0
+        theta = (mu, np.zeros(n), np.atleast_2d(np.cov(x, rowvar=False,
+                                                       ddof=1)),
+                 cfg.lambda_value, 1.0, 1.0)
 
-    delta, eta, _, _ = _estep(x, mu, gamma, sigma, lam, chi, psi,
-                              need_log=False)
+    delta, eta, _, _ = _estep(x, *theta, need_log=False)
+    diagnostics = {"kernel_evaluations": 1, "extrapolations_tried": 0,
+                   "extrapolations_kept": 0}
     trace: list[float] = []
-    converged = False
-    iterations = 0
-    for it in range(cfg.max_iters):
-        iterations = it + 1
-        # cycle 1: location, skewness, dispersion
-        delta_bar, eta_bar = float(delta.mean()), float(eta.mean())
-        if include_mu:
-            denom = delta_bar * eta_bar - 1.0
-            if abs(denom) < 1e-14:
-                raise EMError(f"degenerate E-step weights at iteration {it}")
-            x_bar = x.mean(axis=0)
-            gamma = (eta[:, None] * (x_bar - x)).mean(axis=0) / denom
-            mu = ((eta[:, None] * x).mean(axis=0) - gamma) / eta_bar
-        else:
-            gamma = x.mean(axis=0) / delta_bar
-        centered = x - mu
-        # O(T n) memory; keep einsum's default optimize=False: a matmul or
-        # an optimized contraction adds in another order and moves the fit
-        sigma = np.einsum("ti,tj,t->ij", centered, centered, eta) / t \
-            - delta_bar * np.outer(gamma, gamma)
-        sigma = 0.5 * (sigma + sigma.T)
-        eigvals = np.linalg.eigvalsh(sigma)
-        if eigvals[0] <= 0.0:
-            raise EMError(
-                f"dispersion update lost positive definiteness at iteration "
-                f"{it} (eigenvalue {eigvals[0]:.3e})")
-        # cycle 2: mixing parameters
-        delta, eta, xi, _ = _estep(x, mu, gamma, sigma, lam, chi, psi,
-                                   need_log=lambda_free)
-        sums = (float(delta.sum()), float(eta.sum()),
-                float(xi.sum()) if xi is not None else None)
-        lam, chi, psi = _update_mixing(lam, chi, psi, t, sums, lambda_free)
+    steps = wait = 0
+    backoff = 2
 
-        # this kernel gives the iteration's ll and the next cycle-1 weights
-        delta, eta, _, ll = _estep(x, mu, gamma, sigma, lam, chi, psi,
-                                   need_log=False)
+    def step(theta, delta, eta):
+        nonlocal steps
+        steps += 1
+        diagnostics["kernel_evaluations"] += 2
+        return _mcecm_step(x, theta, delta, eta, include_mu, lambda_free,
+                           steps - 1)
+
+    def converged() -> bool:
+        return len(trace) > 1 and abs(trace[-1] - trace[-2]) < cfg.ll_tol
+
+    while steps < cfg.max_iters and not converged():
+        accelerate = (wait == 0 and cfg.max_iters - steps >= 3
+                      and _crawling(trace))
+        wait = max(wait - 1, 0)
+        theta0 = theta
+        theta, delta, eta, ll = step(theta, delta, eta)
         trace.append(ll)
-        if it > 0 and abs(ll - trace[-2]) < cfg.ll_tol:
-            converged = True
+        if not accelerate:
+            continue
+        theta1 = theta
+        theta, delta, eta, ll = step(theta, delta, eta)
+        trace.append(ll)
+        if converged():
             break
+        diagnostics["extrapolations_tried"] += 1
+        try:
+            # an overflow at the point must reject it, not warn
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                point = _extrapolate(theta0, theta1, theta)
+                diagnostics["kernel_evaluations"] += 1
+                w_delta, w_eta, _, _ = _estep(x, *point, need_log=False)
+                trial = step(point, w_delta, w_eta)
+        except (ArithmeticError, EMError, np.linalg.LinAlgError):
+            trial = None
+        if trial is not None and trial[3] >= ll:
+            theta, delta, eta, ll = trial
+            trace.append(ll)
+            diagnostics["extrapolations_kept"] += 1
+        else:
+            wait, backoff = backoff, 2 * backoff
 
+    mu, gamma, sigma, lam, chi, psi = theta
     mixing = Gig(lam=lam, chi=chi, psi=psi)
     if cfg.identification == "unit_ez":
         scale = mixing.moments().ez
@@ -379,7 +493,8 @@ def mcecm_fit(rm: ReturnsMatrix, cfg: FitConfig | None = None,
         sigma = sigma * scale
     model = NmvmModel(mu=mu, gamma=gamma, sigma=sigma, mixing=mixing)
     return FitResult(model=model, log_likelihood_trace=trace,
-                     iterations=iterations, converged=converged)
+                     iterations=steps, converged=converged(),
+                     diagnostics=diagnostics)
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,18 @@ class TestFitCommand:
         assert code == EXIT_INPUT
         assert "line 3" in err
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_price_exits_one(self, tmp_path, capsys, cell):
+        prices = make_prices(tmp_path, t=250)
+        lines = prices.read_text(encoding="utf-8").splitlines()
+        lines[5] = lines[5].rsplit(",", 1)[0] + "," + cell
+        prices.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, out, err = run(capsys, "fit", "--input", str(prices),
+                             "--out", str(tmp_path / "m.json"))
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "line 6: prices must be finite and positive" in err
+
     def test_max_iters_one_not_an_error(self, tmp_path, capsys):
         prices = make_prices(tmp_path, t=250)
         cfg = tmp_path / "cfg.json"
@@ -85,7 +97,9 @@ class TestFitCommand:
 
     @pytest.mark.parametrize("config", [
         {"bogus_key": 1}, [1, 2], {"max_iters": "10"},
-        {"lambda_value": "-0.5"}, {"include_mu": "no"}])
+        {"lambda_value": "-0.5"}, {"include_mu": "no"},
+        {"lambda_value": math.nan}, {"ll_tol": math.inf},
+        {"max_iters": True}])
     def test_bad_config_exits_one(self, tmp_path, capsys, config):
         prices = make_prices(tmp_path, t=250)
         cfg = tmp_path / "cfg.json"

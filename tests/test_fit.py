@@ -90,6 +90,14 @@ class TestLoadPrices:
         with pytest.raises(PriceFileError, match="positive"):
             load_prices(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_price(self, tmp_path, cell):
+        path = write(tmp_path, "p.csv",
+                     f"date,a\n2024-01-02,100\n2024-01-03,{cell}\n")
+        with pytest.raises(PriceFileError,
+                           match="line 3: prices must be finite and positive"):
+            load_prices(path)
+
     def test_bad_header(self, tmp_path):
         path = write(tmp_path, "p.csv", "time,a\n2024-01-02,100\n")
         with pytest.raises(PriceFileError, match="header"):
@@ -298,12 +306,13 @@ class TestMcecm:
         assert np.all(delta * eta >= 1.0 - 1e-12)
 
     @pytest.mark.parametrize("lambda_mode,kve_calls",
-                             [("fixed", 33), ("free", 43)])
+                             [("fixed", 22), ("free", 32)])
     def test_shared_work_done_once(self, monkeypatch, lambda_mode,
                                    kve_calls):
-        # one kernel before the loop, then per iteration the cycle-2 kernel
-        # and the kernel at the new parameters: 3 Bessel orders each, plus
-        # the 2 E[log Z] orders in cycle 2 when lambda is free
+        # one kernel before the loop, then per step the cycle-2 kernel and
+        # the kernel at the new parameters: 2 Bessel orders each, plus the
+        # 2 E[log Z] orders in cycle 2 when lambda is free; an extrapolation
+        # needs 3 steps of budget after 3 plain ones, so 5 steps take none
         rm = synthetic_returns(400, seed=5)
         counts = {"kve": 0, "whiten": 0}
         kve, whiten = fitmod._sspec.kve, fitmod._whiten
@@ -322,6 +331,60 @@ class TestMcecm:
                                          lambda_mode=lambda_mode))
         assert result.iterations == 5
         assert counts == {"kve": kve_calls, "whiten": 11}
+        assert result.diagnostics == {"kernel_evaluations": 11,
+                                      "extrapolations_tried": 0,
+                                      "extrapolations_kept": 0}
+
+    def test_squarem_engages_on_a_crawling_fit(self):
+        # plain MCECM took 65 iterations to a final log-likelihood of
+        # 1149.492837043349 on these data; each kept extrapolation is one
+        # kernel at the point plus a stabilizing step, 1 + 2 * 21 + 4 = 47
+        result = mcecm_fit(synthetic_returns(2000, seed=5), FitConfig())
+        assert result.converged
+        assert result.iterations == 21
+        assert result.diagnostics == {"kernel_evaluations": 47,
+                                      "extrapolations_tried": 4,
+                                      "extrapolations_kept": 4}
+        trace = np.array(result.log_likelihood_trace)
+        assert np.all(np.diff(trace) >= 0.0)
+        assert trace[-1] >= 1149.492837043349
+
+    @pytest.mark.parametrize("spoil", [
+        lambda mu, gamma, sigma, lam, chi, psi:
+            (mu, gamma, -sigma, lam, chi, psi),
+        lambda mu, gamma, sigma, lam, chi, psi:
+            (mu, gamma, sigma, 1e6, chi, psi),
+        lambda mu, gamma, sigma, lam, chi, psi:
+            (mu, gamma, sigma, lam, math.exp(1e3), psi)],
+        ids=["sigma_not_pd", "bessel_overflow", "exp_overflow"])
+    def test_rejected_point_keeps_the_plain_path(self, monkeypatch, spoil):
+        # a point that fails before its stabilizing step runs costs no step,
+        # so the fit follows plain MCECM, trying again after 2, 4, ... steps
+        rm = synthetic_returns(2000, seed=5)
+        cfg = FitConfig(max_iters=30)
+        monkeypatch.setattr(fitmod, "_crawling", lambda trace: False)
+        plain = mcecm_fit(rm, cfg)
+        monkeypatch.undo()
+        extrapolate = fitmod._extrapolate
+        monkeypatch.setattr(fitmod, "_extrapolate",
+                            lambda *thetas: spoil(*extrapolate(*thetas)))
+        result = mcecm_fit(rm, cfg)
+        assert result.diagnostics["extrapolations_tried"] == 4
+        assert result.diagnostics["extrapolations_kept"] == 0
+        assert result.iterations == 30
+        assert result.log_likelihood_trace == plain.log_likelihood_trace
+
+    def test_rejected_step_counts_but_leaves_the_trace(self):
+        # on this free-index fit 4 of 7 stabilizing steps end below the step
+        # they would replace: each costs a step of max_iters, no trace entry
+        rm = synthetic_returns(1000, seed=7)
+        result = mcecm_fit(rm, FitConfig(lambda_mode="free", max_iters=60))
+        tried = result.diagnostics["extrapolations_tried"]
+        kept = result.diagnostics["extrapolations_kept"]
+        assert (tried, kept) == (7, 3)
+        assert result.iterations == 60
+        assert len(result.log_likelihood_trace) == 60 - (tried - kept)
+        assert np.all(np.diff(result.log_likelihood_trace) >= 0.0)
 
     @pytest.mark.parametrize("mixing", [Gig(-2.0, 2.0, 0.0),
                                         Gig(2.0, 0.0, 1.0)])
@@ -456,6 +519,16 @@ def test_log_likelihood_is_the_mixture_density(n, lam, chi, psi):
     assert ll == pytest.approx(expected, rel=1e-9, abs=1e-11)
 
 
+@pytest.mark.parametrize("p", [-20.0, -7.5, -2.0, -1.5, -1.0, -0.5, 0.0, 0.5,
+                               1.0, 1.5, 3.0, 19.5])
+def test_two_bessel_orders_give_the_third(p):
+    z = np.geomspace(1e-3, 500.0, 400)
+    got = fitmod._kve_neighbours(p, z)
+    for k, order in zip(got, (p - 1.0, p, p + 1.0)):
+        direct = fitmod._sspec.kve(order, z)
+        assert np.max(np.abs(k / direct - 1.0)) <= 1e-13
+
+
 class TestFitConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -466,3 +539,13 @@ class TestFitConfig:
             FitConfig(ll_tol=0.0)
         with pytest.raises(ValueError):
             FitConfig(identification="scale")
+
+    @pytest.mark.parametrize("field,value", [
+        ("lambda_value", math.nan), ("lambda_value", math.inf),
+        ("lambda_value", True),
+        pytest.param("lambda_value", 10 ** 400, id="lambda_value-10**400"),
+        ("ll_tol", math.nan), ("ll_tol", math.inf), ("ll_tol", True),
+        ("max_iters", True), ("max_iters", 5.0)])
+    def test_unrunnable_values_name_their_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            FitConfig(**{field: value})
