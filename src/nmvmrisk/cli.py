@@ -69,7 +69,7 @@ def _cmd_fit(args) -> int:
     rm = fitmod.load_prices(args.input)
     cfg_kwargs = {}
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
+        with open(args.config, encoding="utf-8-sig") as fh:
             cfg_kwargs = json.load(fh)
         if not isinstance(cfg_kwargs, dict):
             raise ValueError("fit config must be a JSON object")

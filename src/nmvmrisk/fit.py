@@ -133,9 +133,10 @@ def load_prices(path) -> ReturnsMatrix:
 
     Rows with any empty cell are dropped (the count is reported); malformed
     rows and prices that are not finite and positive (nan, inf, 0, -5)
-    raise PriceFileError naming the line.
+    raise PriceFileError naming the line. A UTF-8 byte-order mark, which
+    spreadsheets write on export, is skipped.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -252,8 +253,10 @@ def _estep(x, mu, gamma, sigma, lam, chi, psi, need_log: bool):
     z = np.sqrt(chi_i * psi_bar)
     ratio = np.sqrt(chi_i / psi_bar)
     k_lo, k_p, k_hi = _kve_neighbours(p, z)
-    delta = ratio * (k_hi / k_p)
-    eta = (k_lo / k_p) / ratio
+    # kve overflows to inf at large orders; the check below names it
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        delta = ratio * (k_hi / k_p)
+        eta = (k_lo / k_p) / ratio
     if not (np.all(np.isfinite(delta)) and np.all(np.isfinite(eta))):
         bad = int(np.flatnonzero(~(np.isfinite(delta) & np.isfinite(eta)))[0])
         raise EMError(f"Bessel overflow in E-step at observation {bad}")
@@ -576,8 +579,9 @@ def load_model(path) -> NmvmModel:
     n*n) numbers, or a mixing block whose family is unknown or whose
     parameters are missing or not numbers; the model and law constructors
     then reject non-finite values and a sigma that is not positive definite.
+    A UTF-8 byte-order mark is skipped.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:

@@ -342,8 +342,9 @@ def skew_condition(law: MixingLaw) -> float:
 
     A nonnegative value certifies that portfolio skewness is nondecreasing in
     the alignment angle, the hypothesis of the closed-form mean-risk-skewness
-    solver. Exactly zero for every Gamma law; delta^2/gamma_ig^6 for the
-    inverse Gaussian.
+    solver. Zero for every Gamma law in exact arithmetic, a few units in the
+    last place of m3(Z) * EZ either side of it in floating point;
+    delta^2/gamma_ig^6 for the inverse Gaussian.
     """
     mm = law.moments()
     return mm.m3 * mm.ez - 2.0 * mm.var ** 2

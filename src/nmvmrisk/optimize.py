@@ -95,13 +95,17 @@ def solve_mean_risk_skew(tm: TransformedModel, r: float) -> QuadraticSolution:
 
     Requires a transform in "skew" mode (m = gamma0 * EZ). Warns, without
     failing, when the mixing law does not certify the skewness-monotonicity
-    condition, since the least-norm portfolio is then still well defined but
-    no longer provably skewness-optimal.
+    condition (skew_condition below zero by more than its rounding error),
+    since the least-norm portfolio is then still well defined but no longer
+    provably skewness-optimal.
     """
     if tm.mode != "skew":
         raise ValueError("solve_mean_risk_skew requires a transform with mode='skew'")
     cond = skew_condition(tm.mixing)
-    if cond < 0.0:
+    mom = tm.mixing.moments()
+    # below the rounding bound only: the condition is 0 for Gamma laws
+    if cond < -16.0 * np.finfo(float).eps * (abs(mom.m3 * mom.ez)
+                                              + 2.0 * mom.var ** 2):
         warnings.warn(
             f"mixing law violates the skewness condition ({cond:.3e} < 0); "
             "solution minimizes risk but may not maximize skewness",

@@ -185,40 +185,38 @@ def cvar_ya(law: YaLaw, beta: float) -> float:
 
 @dataclass
 class _SolveState:
-    """What the successive solves of one caller at one mixing law, measure
-    and level share: the edges of the last pass's quadrature panels (see
+    """What a scalar-risk solve inherits from earlier solves at its mixing
+    law and level: the edges of the last pass's quadrature panels (see
     integrate_semi_infinite's partition), the last Newton root, and the
-    quadrature passes summed over the solves."""
+    quadrature passes summed over the solves. The reduced optimizer shares
+    one across its iterates; the memo hands each VaR to its CVaR pass as
+    the root of a fresh one."""
 
     partition: list = field(default_factory=list)
     root: float | None = None
     passes: int = 0
 
 
-def _solve(law: YaLaw, measure: str, beta: float, start: float | None = None,
-           slope: bool = False,
+def _solve(law: YaLaw, measure: str, beta: float, slope: bool = False,
            state: _SolveState | None = None) -> tuple[float, int, float]:
     """(risk(Y_a), its number of mixture quadrature passes, d risk(Y_a)/da),
-    solved from `start` (default: the normal quantile of mean a c and
-    spread sqrt(c + a^2 c^2), c = scale(), which is EZ where it exists).
-    Each Newton pass at y integrates the CDF F and the density of Y_a at -y
-    on shared nodes and, for CVaR only, the tail T = E[Y_a; Y_a <= -y]; the
+    solved from the normal quantile of mean a c and spread
+    sqrt(c + a^2 c^2), c = scale(), which is EZ where it exists. Each
+    Newton pass at y integrates the CDF F and the density of Y_a at -y on
+    shared nodes and, for CVaR only, the tail T = E[Y_a; Y_a <= -y]; the
     CVaR is read at the last abscissa x as x + (-T - x F)/beta, which is
     stationary at the VaR. With `slope`, one more pass at the last
     abscissa adds the row of the a-derivative (see the module docstring)
-    and reads it. That pass starts from the last Newton pass's final
-    panels, where the priced rows already meet the tolerance, so its
-    splits are the slope row's; the value comes from the Newton passes
-    alone and is the one without `slope`, bit for bit. Without `slope` the
-    slope is nan.
+    and reads it; the value comes from the Newton passes alone and is the
+    one without `slope`, bit for bit. Without `slope` the slope is nan.
 
-    A `state` carries one caller's solves at one mixing law into each
-    other: every pass, a slope's too, seeds its quadrature with the
-    previous pass's panels, the default start is the last solve's root,
-    and the passes are added to state.passes. Values then differ from a
-    stateless solve's within the quadrature and root tolerances. Without a
-    state a solve depends on its arguments alone."""
+    A `state` is all that a solve inherits: every pass seeds its quadrature
+    with the previous pass's panels, the solve starts at state.root where
+    there is one, and state.root and state.passes take this solve's root
+    and passes. Without a state a solve depends on its arguments alone."""
     a = law.a
+    if not math.isfinite(a):
+        raise ValueError(f"a must be finite, got {a}")
     tail = measure == "cvar"
     passes = 0
     last = None
@@ -240,11 +238,8 @@ def _solve(law: YaLaw, measure: str, beta: float, start: float | None = None,
 
     def objective(y):
         # increasing in y, with slope f_a(-y)
-        nonlocal passes, last, partition
+        nonlocal passes, last
         passes += 1
-        if slope and state is None:
-            # seeds as without a partition and keeps this pass's panels
-            partition = []
         try:
             cdf, density, *rest = rows(y, True)
         except QuadratureError:
@@ -264,8 +259,7 @@ def _solve(law: YaLaw, measure: str, beta: float, start: float | None = None,
     else:
         c = law.mixing.scale()
         sd = math.sqrt(c + a * a * c * c)
-        if start is None and state is not None:
-            start = state.root
+        start = None if state is None else state.root
         if start is None:
             start = -(a * c + sd * normal_quantile(beta))
         try:
@@ -303,10 +297,8 @@ def risk_ya_and_slope(law: YaLaw, measure: str, beta: float,
     """(risk(Y_a), d risk(Y_a)/da) from one solve: the value is risk_ya's
     bit for bit, and the slope is read by one more pass at the solve's
     last abscissa (nan where the density of Y_a there is not finite, for
-    VaR). A `state` (see _solve) carries the quadrature panels and the
-    Newton root of one caller's solves at one mixing law, measure and level
-    from solve to solve; the value is then risk_ya's within the quadrature
-    and root tolerances."""
+    VaR). With a `state` (see _solve) the value is risk_ya's within the
+    quadrature and root tolerances."""
     _check_measure(measure)
     _check_beta(beta)
     value, _, slope = _solve(law, measure, beta, slope=True, state=state)
@@ -327,7 +319,7 @@ def _scalar_risk(mixing: MixingLaw, a: float,
     # vectors; the CVaR pass starts at the solved VaR and takes one step
     law = YaLaw(a, mixing)
     var = var_ya(law, beta)
-    return var, _solve(law, "cvar", beta, start=var)[0]
+    return var, _solve(law, "cvar", beta, state=_SolveState(root=var))[0]
 
 
 def clear_caches():
@@ -431,8 +423,10 @@ def portfolio_risk_piecewise(tm: TransformedModel, x: np.ndarray, measure: str,
     b = tm.gamma0_norm
     knots = np.asarray(partition, dtype=float)
     pad = 1e-12 * max(1.0, b)
-    if knots.ndim != 1 or knots.size < 2 or np.any(np.diff(knots) < 0.0):
-        raise ValueError("partition must be a sorted vector with >= 2 points")
+    if knots.ndim != 1 or knots.size < 2 or not np.all(np.isfinite(knots)) \
+            or np.any(np.diff(knots) < 0.0):
+        raise ValueError(
+            "partition must be a sorted finite vector with >= 2 points")
     if knots[0] > -b + pad or knots[-1] < b - pad or \
             knots[0] < -b - pad or knots[-1] > b + pad:
         raise ValueError(

@@ -64,6 +64,38 @@ class TestFitCommand:
         assert out_file.exists()
         nr.load_model(out_file)  # written file validates
 
+    def test_byte_order_mark_csv(self, tmp_path, capsys):
+        # spreadsheets export CSV (and editors save JSON) with a UTF-8
+        # byte-order mark
+        prices = make_prices(tmp_path, t=250)
+        prices.write_text("\ufeff" + prices.read_text(encoding="utf-8"),
+                          encoding="utf-8")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("\ufeff" + json.dumps({"max_iters": 2}),
+                       encoding="utf-8")
+        out_file = tmp_path / "m.json"
+        code, out, _ = run(capsys, "fit", "--input", str(prices),
+                           "--config", str(cfg), "--out", str(out_file))
+        assert code == EXIT_OK
+        assert json.loads(out)["iterations"] == 2
+        assert nr.load_model(out_file).n == 2
+
+    def test_bessel_overflow_prints_one_line(self, tmp_path):
+        # a fresh process, so that numpy's warnings reach stderr as they
+        # would for a user
+        prices = make_prices(tmp_path, t=250)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lambda_value": 1e6}), encoding="utf-8")
+        out = subprocess.run(
+            [sys.executable, "-m", "nmvmrisk.cli", "fit", "--input",
+             str(prices), "--config", str(cfg), "--out",
+             str(tmp_path / "m.json")],
+            env=_package_env(), capture_output=True, text=True)
+        assert out.returncode == EXIT_NUMERICAL
+        assert out.stdout == ""
+        assert out.stderr.splitlines() == [
+            "error: Bessel overflow in E-step at observation 0"]
+
     def test_malformed_csv_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("date,a\n2024-01-02,100\n2024-01-03\n",
@@ -340,16 +372,20 @@ class TestArgumentHandling:
         assert code == EXIT_INPUT
 
 
+def _package_env() -> dict:
+    """The environment of a child process that imports this package."""
+    src = str(Path(nr.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_import_leaves_scipy_stats_unloaded():
     # scipy.stats (~0.4 s) and scipy.optimize (~0.3 s) would be part of
     # every CLI start; only Gig.sample, the CM2 update, the reduced
     # optimizer and cvar_via_F need them, and they import them when called
-    src = str(Path(nr.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run(
         [sys.executable, "-c",
          "import sys, nmvmrisk.cli; "
          "print([m in sys.modules for m in ('scipy.stats', 'scipy.optimize')])"],
-        env=env, capture_output=True, text=True, check=True)
+        env=_package_env(), capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[False, False]"

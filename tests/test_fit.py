@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 import nmvmrisk as nr
 from nmvmrisk import fit as fitmod
-from nmvmrisk.fit import (FitConfig, ModelFileError, PriceFileError,
-                          ReturnsMatrix, _estep, load_model, load_prices,
-                          mcecm_fit, save_model, summarize)
+from nmvmrisk.fit import (EMError, FitConfig, ModelFileError,
+                          PriceFileError, ReturnsMatrix, _estep, load_model,
+                          load_prices, mcecm_fit, save_model, summarize)
 from nmvmrisk.mathkit import QuadratureSpec
 from nmvmrisk.mixing import Degenerate, Gig, InverseGaussian
 
@@ -108,6 +108,14 @@ class TestLoadPrices:
                      "date,a\n2024-01-03,100\n2024-01-02,101\n")
         with pytest.raises(PriceFileError, match="ascending"):
             load_prices(path)
+
+    def test_byte_order_mark(self, tmp_path):
+        # spreadsheets export CSV with a UTF-8 byte-order mark
+        path = write(tmp_path, "p.csv",
+                     "\ufeffdate,acme\n2024-01-02,100\n2024-01-03,110\n")
+        rm = load_prices(path)
+        assert rm.assets == ["acme"]
+        assert rm.values[0, 0] == pytest.approx(math.log(1.1), rel=1e-14)
 
 
 class TestSummarize:
@@ -270,8 +278,23 @@ class TestModelFile:
         with pytest.raises(ModelFileError, match="missing"):
             load_model(path)
 
+    def test_byte_order_mark(self, tmp_path, location_model):
+        path = tmp_path / "m.json"
+        save_model(location_model, path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        loaded = load_model(path)
+        assert np.array_equal(loaded.sigma, location_model.sigma)
+        assert loaded.mixing == location_model.mixing
+
 
 class TestMcecm:
+    def test_bessel_overflow_raises_emerror_alone(self):
+        # kve overflows at order 1e6: the E-step's own check names it,
+        # before numpy warns of the inf / inf it divides
+        rm = synthetic_returns(300, seed=3)
+        with pytest.raises(EMError, match="Bessel overflow"):
+            mcecm_fit(rm, FitConfig(lambda_value=1e6))
+
     def test_single_iteration_contract(self):
         rm = synthetic_returns(400, seed=5)
         result = mcecm_fit(rm, FitConfig(max_iters=1))

@@ -1,6 +1,7 @@
 """Tests for the closed-form solver, frontier sweep, and reduced optimizer."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -115,6 +116,21 @@ class TestMeanRiskSkew:
                              mixing=Shrunk(2.0, 2.0))
         tm = transform(model, mode="skew")
         with pytest.warns(UserWarning):
+            solve_mean_risk_skew(tm, 0.01)
+
+    @pytest.mark.parametrize("law", [
+        Gamma(1.7, 0.845), Gamma(20.0, 3.0),
+        *(Gamma(float(shape), 0.5 * 1.7 ** 2)
+          for shape in np.linspace(0.3, 6.0, 10))],
+        ids=lambda law: f"{law.shape:.4g},{law.rate:.4g}")
+    def test_gamma_laws_do_not_warn(self, law):
+        # skew_condition is 0 for Gamma in exact arithmetic; its rounding
+        # (-3.55e-15 for Gamma(1.7, 0.845)) is no violation
+        model = nr.NmvmModel(mu=np.zeros(2), gamma=[0.1, 0.05],
+                             sigma=[[0.02, 0.0], [0.0, 0.03]], mixing=law)
+        tm = transform(model, mode="skew")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             solve_mean_risk_skew(tm, 0.01)
 
     def test_heavy_tail_without_fourth_moment(self, skew_model):

@@ -206,6 +206,43 @@ class TestVarYa:
         assert (value, slope) == pytest.approx((beta - cdf, density),
                                                rel=1e-8, abs=1e-10)
 
+    def test_state_root_is_the_first_abscissa(self, monkeypatch):
+        law, beta = YaLaw(0.3, MIXING_REF), 0.05
+        var = var_ya(law, beta)
+        abscissae = []
+        orig = riskmod.find_root
+
+        def recorded(f, x0, step):
+            def g(y):
+                abscissae.append(y)
+                return f(y)
+            return orig(g, x0, step)
+
+        monkeypatch.setattr(riskmod, "find_root", recorded)
+        state = riskmod._SolveState(root=var + 0.25)
+        value, passes, _ = riskmod._solve(law, "var", beta, state=state)
+        assert abscissae[0] == var + 0.25
+        assert passes == len(abscissae) == state.passes
+        assert state.root == value == pytest.approx(var, abs=1e-10)
+        # a state without a root starts, like no state, at the normal
+        # quantile
+        c = MIXING_REF.scale()
+        start = -(0.3 * c + math.sqrt(c + 0.09 * c * c)
+                  * normal_quantile(beta))
+        for state in (riskmod._SolveState(), None):
+            abscissae.clear()
+            riskmod._solve(law, "var", beta, state=state)
+            assert abscissae[0] == start
+
+    @pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf])
+    def test_non_finite_a(self, tm_location, a):
+        law = YaLaw(a, MIXING_REF)
+        for solve in (lambda: var_ya(law, 0.05), lambda: cvar_ya(law, 0.05),
+                      lambda: risk_ya(law, "cvar", 0.05),
+                      lambda: h(tm_location, a, "var", 0.05)):
+            with pytest.raises(ValueError, match="a must be finite"):
+                solve()
+
 
 class TestCvarYa:
     def test_degenerate_closed_form(self):
@@ -416,12 +453,13 @@ class TestTwoPoint:
             calls["var"] += 1
             return orig_var(law, beta)
 
-        def count_solve(law, measure, beta, start=None):
-            value, passes, slope = orig_solve(law, measure, beta, start)
+        def count_solve(law, measure, beta, slope=False, state=None):
+            value, passes, d_value = orig_solve(law, measure, beta, slope,
+                                                state)
             if measure == "cvar":
                 calls["cvar"] += 1
                 cvar_passes.append(passes)
-            return value, passes, slope
+            return value, passes, d_value
 
         monkeypatch.setattr(riskmod, "var_ya", count_var)
         monkeypatch.setattr(riskmod, "_solve", count_solve)
@@ -526,6 +564,11 @@ class TestPiecewise:
                                      [-b / 2, b / 2])
         with pytest.raises(ValueError):
             portfolio_risk_piecewise(tm_location, x, "var", 0.05, [b, -b])
+        # every comparison with nan is false, so only a finiteness check
+        # keeps a nan knot out
+        with pytest.raises(ValueError, match="partition must be .* finite"):
+            portfolio_risk_piecewise(tm_location, x, "var", 0.05,
+                                     [-b, math.nan, b])
 
 
 class TestRockafellar:
