@@ -86,6 +86,7 @@ def _cmd_fit(args) -> int:
         "log_likelihood": result.log_likelihood_trace[-1],
         "model_file": args.out,
         "dropped_rows": rm.dropped_rows,
+        "diagnostics": result.diagnostics,
     }
     sys.stdout.write(json.dumps(summary) + "\n")
     return EXIT_OK

@@ -5,10 +5,11 @@ X = mu + gamma Z + sqrt(Z) A N with Z generalized inverse Gaussian:
 the E-step computes the conditional moments E[Z | x], E[1/Z | x] (and
 E[log Z | x] when the index parameter is free) from the conjugate posterior,
 one CM cycle updates (mu, gamma, Sigma) in closed form, and a second CM cycle
-improves the mixing parameters numerically. The E-step kernel that ends each
-step also gives its closed-form log-likelihood, which never decreases. Where
-the EM crawls, SQUAREM extrapolates two steps and keeps the result only when
-it does not lower the log-likelihood.
+maximizes over (chi, psi) exactly, by one root in log sqrt(chi psi), and over
+a free index by a bounded 1-D search. The E-step kernel that ends each step
+also gives its closed-form log-likelihood, which never decreases. Where the
+EM crawls, SQUAREM extrapolates two steps and keeps the result only when it
+does not lower the log-likelihood.
 """
 
 from __future__ import annotations
@@ -225,12 +226,42 @@ def _whiten(x, mu, gamma, sigma):
     return chol, q, float(gamma_w @ gamma_w)
 
 
+# orders up to this bound take the recurrence; 64 upward steps stay within
+# 1e-13 of kve, and a larger order (lambda = 1e6 is half-integer too) would
+# loop once per unit of order
+_RECURRENCE_MAX_ORDER = 64.0
+
+
+def _kve_recurrence(m: float, z):
+    """kve at orders m - 1, m and m + 1 for m >= 0 with 2m an integer, by
+    upward recurrence K_{nu+1} = K_{nu-1} + (2 nu/z) K_nu (DLMF 10.29.1)
+    from k0e, k1e or, at half-odd orders, sqrt(pi/2z) (1, 1 + 1/z) (DLMF
+    10.39.2), with K_{-nu} = K_nu. Every term is positive, so nothing
+    cancels; an order that overflows comes out inf, as kve's does."""
+    if m == math.floor(m):
+        k_nu, k_up, nu = _sspec.k0e(z), _sspec.k1e(z), 0.0
+        k_down = k_up
+    else:
+        k_nu = np.sqrt(0.5 * math.pi / z)
+        k_up, nu = k_nu * (1.0 + 1.0 / z), 0.5
+        k_down = k_nu
+    with np.errstate(over="ignore"):
+        while nu < m:
+            nu += 1.0
+            k_down, k_nu, k_up = k_nu, k_up, k_nu + (2.0 * nu / z) * k_up
+    return k_down, k_nu, k_up
+
+
 def _kve_neighbours(p: float, z):
-    """kve at orders p - 1, p and p + 1 from two calls: at p and at the
-    neighbour nearer 0, the third by K_{p+1} = K_{p-1} + (2p/z) K_p (which
-    kve keeps, its scale e^z being the same at every order). The sum is
-    taken in the direction where both terms are positive, so nothing
-    cancels."""
+    """kve at orders p - 1, p and p + 1. Where 2p is an integer and |p| is
+    at most _RECURRENCE_MAX_ORDER (every order of a fixed-index NIG fit),
+    all three come from `_kve_recurrence`. Otherwise two kve calls give the
+    order p and its neighbour nearer 0, and the third follows by K_{p+1} =
+    K_{p-1} + (2p/z) K_p (which kve keeps, its scale e^z being the same at
+    every order), summed in the direction where both terms are positive."""
+    if 2.0 * p == math.floor(2.0 * p) and abs(p) <= _RECURRENCE_MAX_ORDER:
+        k_down, k_p, k_up = _kve_recurrence(abs(p), z)
+        return (k_down, k_p, k_up) if p >= 0.0 else (k_up, k_p, k_down)
     k_p = _sspec.kve(p, z)
     if p >= 0.0:
         k_lo = _sspec.kve(p - 1.0, z)
@@ -289,23 +320,71 @@ def _log_likelihood(x, mu, gamma, sigma, lam, chi, psi, chol, psi_rho, z, k_p):
     return float(np.sum(ll))
 
 
+def _chi_psi_step(lam, chi, psi, delta_bar, eta_bar):
+    """The (chi, psi) maximizing the mixing block at fixed lam, from the mean
+    E-step weights delta_bar = mean E[Z | x] and eta_bar = mean E[1/Z | x].
+    With chi = omega eta and psi = omega / eta, the best eta at fixed omega
+    is the positive root of omega eta_bar eta^2 + 2 lam eta - omega
+    delta_bar = 0, and the profile in omega is unimodal, its slope being
+    K_{lam+1}(omega)/K_lam(omega) - lam/omega - (eta eta_bar +
+    delta_bar/eta)/2. One root of that slope in log omega, bracketed from
+    omega = sqrt(chi psi) outward, gives the step. Returns (chi, psi)
+    unchanged where the bracket search finds no sign change, as when
+    delta_bar eta_bar -> 1 (a point mass: the optimum lies at omega ->
+    inf)."""
+    from scipy.optimize import brentq
+    prod = delta_bar * eta_bar
+
+    def best_eta(omega):
+        root = math.sqrt(lam * lam + omega * omega * prod)
+        if lam > 0.0:
+            return omega * delta_bar / (lam + root)
+        return (root - lam) / (omega * eta_bar)
+
+    def slope(u):
+        omega = math.exp(u)
+        eta = best_eta(omega)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ratio = _sspec.kve(lam + 1.0, omega) / _sspec.kve(lam, omega)
+        value = ratio - lam / omega - 0.5 * (eta * eta_bar + delta_bar / eta)
+        return value if math.isfinite(value) else math.nan
+
+    u_near = 0.5 * (math.log(chi) + math.log(psi))
+    s_near = slope(u_near)
+    step = math.copysign(1.0, s_near)
+    # step toward the optimum by 1, 2, 4, ... 128 in log omega until the
+    # slope changes sign
+    while s_near * step > 0.0 and abs(step) <= 128.0:
+        u_far = u_near + step
+        s_far = slope(u_far)
+        if s_far * step <= 0.0:
+            u = brentq(slope, min(u_near, u_far), max(u_near, u_far),
+                       xtol=1e-14, rtol=4.0 * sys.float_info.epsilon)
+            break
+        u_near, s_near, step = u_far, s_far, 2.0 * step
+    else:
+        if s_near != 0.0:  # no sign change, or a nan slope
+            return chi, psi
+        u = u_near
+    omega = math.exp(u)
+    eta = best_eta(omega)
+    return omega * eta, omega / eta
+
+
 def _update_mixing(lam, chi, psi, t, sums, lambda_free):
-    """CM cycles for the mixing parameters; never decreases the objective."""
+    """CM cycles for the mixing parameters: the exact (chi, psi) step, then a
+    bounded search over lam when it is free. Each is kept only where it
+    raises the objective, so the objective never decreases."""
     # imported here: scipy.optimize adds ~0.3 s to every package import
-    from scipy.optimize import minimize, minimize_scalar
+    from scipy.optimize import minimize_scalar
     sum_delta, sum_eta, sum_xi = sums
     best = _gig_q2(lam, chi, psi, t, sum_delta, sum_eta, sum_xi)
 
-    def neg_q2_logparams(params):
-        c, p = math.exp(params[0]), math.exp(params[1])
-        return -_gig_q2(lam, c, p, t, sum_delta, sum_eta, sum_xi)
-
-    res = minimize(neg_q2_logparams, [math.log(chi), math.log(psi)],
-                   method="Nelder-Mead",
-                   options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 400})
-    if -res.fun > best:
-        chi, psi = math.exp(res.x[0]), math.exp(res.x[1])
-        best = -res.fun
+    new_chi, new_psi = _chi_psi_step(lam, chi, psi, sum_delta / t,
+                                     sum_eta / t)
+    value = _gig_q2(lam, new_chi, new_psi, t, sum_delta, sum_eta, sum_xi)
+    if value > best:
+        chi, psi, best = new_chi, new_psi, value
 
     if lambda_free:
         res = minimize_scalar(
@@ -387,6 +466,23 @@ def _extrapolate(theta0, theta1, theta2):
             float(point[-3]), math.exp(point[-2]), math.exp(point[-1]))
 
 
+def _check_dispersion(sample_cov, x, assets):
+    """Raise ValueError where the return columns cannot carry a dispersion
+    matrix: name the columns that never move, else give the rank of the
+    sample correlation (which no column's scale sways) when columns are
+    collinear."""
+    n = x.shape[1]
+    constant = [assets[j] for j in range(n) if np.ptp(x[:, j]) == 0.0]
+    if constant:
+        raise ValueError(f"return columns with zero variance: "
+                         f"{', '.join(constant)}")
+    scale = 1.0 / np.sqrt(np.diag(sample_cov))
+    rank = int(np.linalg.matrix_rank(sample_cov * np.outer(scale, scale)))
+    if rank < n:
+        raise ValueError(f"return columns are collinear: the sample "
+                         f"correlation has rank {rank} of {n}")
+
+
 def mcecm_fit(rm: ReturnsMatrix, cfg: FitConfig | None = None,
               initial: NmvmModel | None = None) -> FitResult:
     """Fit the mixture model to the return rows by multi-cycle ECM with
@@ -395,7 +491,11 @@ def mcecm_fit(rm: ReturnsMatrix, cfg: FitConfig | None = None,
     Initialization: mu = sample mean (when included), gamma = 0, Sigma =
     sample covariance, mixing GIG(lambda_value, 1, 1); passing a model as
     `initial` warm-starts from its parameters instead (its mixing must be
-    GIG with chi > 0 and psi > 0).
+    GIG with chi > 0 and psi > 0). A fixed-index fit holds lambda at
+    lambda_value, so its warm start must carry that lambda; a free-index
+    fit starts from the initial lambda. Raises ValueError for a return
+    column that never moves or for collinear columns, which no dispersion
+    matrix fits.
 
     Each MCECM step (`_mcecm_step`) costs two E-step kernels. While the EM
     crawls (`_crawling`) and at least 3 steps of max_iters are left, two
@@ -423,6 +523,8 @@ def mcecm_fit(rm: ReturnsMatrix, cfg: FitConfig | None = None,
                          f"(T={t}, n={n})")
     include_mu = cfg.include_mu
     lambda_free = cfg.lambda_mode == "free"
+    sample_cov = np.atleast_2d(np.cov(x, rowvar=False, ddof=1))
+    _check_dispersion(sample_cov, x, rm.assets)
     if initial is not None:
         mix = initial.mixing
         if not (isinstance(mix, Gig) and mix.chi > 0.0 and mix.psi > 0.0):
@@ -430,14 +532,16 @@ def mcecm_fit(rm: ReturnsMatrix, cfg: FitConfig | None = None,
                              "chi > 0 and psi > 0")
         if initial.n != n:
             raise ValueError("warm-start model dimension mismatch")
+        if not lambda_free and mix.lam != cfg.lambda_value:
+            raise ValueError(
+                f"warm start has lambda {mix.lam!r}, but a fixed-index fit "
+                f"holds lambda_value {cfg.lambda_value!r}")
         mu = initial.mu.copy() if include_mu else np.zeros(n)
         theta = (mu, initial.gamma.copy(), initial.sigma.copy(), mix.lam,
                  mix.chi, mix.psi)
     else:
         mu = x.mean(axis=0) if include_mu else np.zeros(n)
-        theta = (mu, np.zeros(n), np.atleast_2d(np.cov(x, rowvar=False,
-                                                       ddof=1)),
-                 cfg.lambda_value, 1.0, 1.0)
+        theta = (mu, np.zeros(n), sample_cov, cfg.lambda_value, 1.0, 1.0)
 
     delta, eta, _, _ = _estep(x, *theta, need_log=False)
     diagnostics = {"kernel_evaluations": 1, "extrapolations_tried": 0,

@@ -96,6 +96,31 @@ class TestFitCommand:
         assert out.stderr.splitlines() == [
             "error: Bessel overflow in E-step at observation 0"]
 
+    def test_summary_prints_diagnostics(self, tmp_path, capsys):
+        prices = make_prices(tmp_path, t=250)
+        code, out, _ = run(capsys, "fit", "--input", str(prices),
+                           "--out", str(tmp_path / "m.json"))
+        assert code == EXIT_OK
+        result = nr.mcecm_fit(nr.load_prices(prices))
+        summary = json.loads(out)
+        assert summary["diagnostics"] == result.diagnostics
+        assert set(summary["diagnostics"]) == {
+            "kernel_evaluations", "extrapolations_tried",
+            "extrapolations_kept"}
+
+    def test_constant_column_exits_one(self, tmp_path, capsys):
+        # the second asset's price never moves, so its returns are all 0
+        prices = make_prices(tmp_path, t=300)
+        lines = prices.read_text(encoding="utf-8").splitlines()
+        lines = [lines[0]] + [line.rsplit(",", 1)[0] + ",50.0"
+                              for line in lines[1:]]
+        prices.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, out, err = run(capsys, "fit", "--input", str(prices),
+                             "--out", str(tmp_path / "m.json"))
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err == "error: return columns with zero variance: b\n"
+
     def test_malformed_csv_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("date,a\n2024-01-02,100\n2024-01-03\n",

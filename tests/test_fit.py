@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -328,32 +329,41 @@ class TestMcecm:
                                   need_log=False)
         assert np.all(delta * eta >= 1.0 - 1e-12)
 
-    @pytest.mark.parametrize("lambda_mode,kve_calls",
-                             [("fixed", 22), ("free", 32)])
-    def test_shared_work_done_once(self, monkeypatch, lambda_mode,
-                                   kve_calls):
+    @pytest.mark.parametrize("lambda_mode,kernels", [
+        ("fixed", {"kve": 0, "recurrence": 11}),
+        ("free", {"kve": 28, "recurrence": 2})], ids=["fixed", "free"])
+    def test_shared_work_done_once(self, monkeypatch, lambda_mode, kernels):
         # one kernel before the loop, then per step the cycle-2 kernel and
-        # the kernel at the new parameters: 2 Bessel orders each, plus the
-        # 2 E[log Z] orders in cycle 2 when lambda is free; an extrapolation
-        # needs 3 steps of budget after 3 plain ones, so 5 steps take none
+        # the kernel at the new parameters: one recurrence each at a
+        # half-integer order (p = -2 while lambda = -1/2), else 2 kve
+        # orders, plus the 2 E[log Z] orders in cycle 2 when lambda is free;
+        # the free fit moves lambda off -1/2 in step 1's mixing update, so
+        # 2 + 2 + 4 * (2 + 2 + 2) = 28. An extrapolation needs 3 steps of
+        # budget after 3 plain ones, so 5 steps take none
         rm = synthetic_returns(400, seed=5)
-        counts = {"kve": 0, "whiten": 0}
-        kve, whiten = fitmod._sspec.kve, fitmod._whiten
+        counts = {"kve": 0, "recurrence": 0, "whiten": 0}
+        kve, recurrence = fitmod._sspec.kve, fitmod._kve_recurrence
+        whiten = fitmod._whiten
 
         def counting_kve(order, z):
             counts["kve"] += np.size(z) == rm.t
             return kve(order, z)
+
+        def counting_recurrence(m, z):
+            counts["recurrence"] += np.size(z) == rm.t
+            return recurrence(m, z)
 
         def counting_whiten(*args):
             counts["whiten"] += 1
             return whiten(*args)
 
         monkeypatch.setattr(fitmod._sspec, "kve", counting_kve)
+        monkeypatch.setattr(fitmod, "_kve_recurrence", counting_recurrence)
         monkeypatch.setattr(fitmod, "_whiten", counting_whiten)
         result = mcecm_fit(rm, FitConfig(max_iters=5, ll_tol=1e-300,
                                          lambda_mode=lambda_mode))
         assert result.iterations == 5
-        assert counts == {"kve": kve_calls, "whiten": 11}
+        assert counts == {**kernels, "whiten": 11}
         assert result.diagnostics == {"kernel_evaluations": 11,
                                       "extrapolations_tried": 0,
                                       "extrapolations_kept": 0}
@@ -417,6 +427,43 @@ class TestMcecm:
                                sigma=SYNTH_SIGMA, mixing=mixing)
         with pytest.raises(ValueError, match="chi > 0 and psi > 0"):
             mcecm_fit(rm, FitConfig(max_iters=1), initial=initial)
+
+    def test_fixed_index_warm_start_keeps_lambda_value(self):
+        rm = synthetic_returns(400, seed=5)
+        initial = nr.NmvmModel(mu=SYNTH_MU, gamma=SYNTH_GAMMA,
+                               sigma=SYNTH_SIGMA, mixing=Gig(1.3, 1.0, 1.0))
+        with pytest.raises(ValueError, match="fixed-index fit holds "
+                                             "lambda_value -0.5"):
+            mcecm_fit(rm, FitConfig(lambda_mode="fixed", lambda_value=-0.5),
+                      initial=initial)
+
+    def test_free_index_warm_start_starts_from_its_lambda(self, monkeypatch):
+        rm = synthetic_returns(400, seed=5)
+        initial = nr.NmvmModel(mu=SYNTH_MU, gamma=SYNTH_GAMMA,
+                               sigma=SYNTH_SIGMA, mixing=Gig(1.3, 1.0, 1.0))
+        seen = []
+        update = fitmod._update_mixing
+
+        def recording_update(lam, *args):
+            seen.append(lam)
+            return update(lam, *args)
+
+        monkeypatch.setattr(fitmod, "_update_mixing", recording_update)
+        mcecm_fit(rm, FitConfig(lambda_mode="free", lambda_value=-0.5,
+                                max_iters=1), initial=initial)
+        assert seen == [1.3]
+
+    @pytest.mark.parametrize("column,message", [
+        (lambda x: np.zeros(len(x)), "zero variance: c"),
+        (lambda x: x[:, 0] - 2.0 * x[:, 1], "rank 2 of 3")],
+        ids=["constant", "collinear"])
+    def test_singular_columns_are_named(self, column, message):
+        x = synthetic_returns(300, seed=3).values.copy()
+        x[:, 2] = column(x)
+        rm = ReturnsMatrix(assets=["a", "b", "c"],
+                           dates=[str(i) for i in range(len(x))], values=x)
+        with pytest.raises(ValueError, match=message):
+            mcecm_fit(rm, FitConfig())
 
     def test_unit_ez_identification(self):
         rm = synthetic_returns(2000, seed=17)
@@ -543,13 +590,141 @@ def test_log_likelihood_is_the_mixture_density(n, lam, chi, psi):
 
 
 @pytest.mark.parametrize("p", [-20.0, -7.5, -2.0, -1.5, -1.0, -0.5, 0.0, 0.5,
-                               1.0, 1.5, 3.0, 19.5])
+                               1.0, 1.5, 3.0, 19.5, -2.3, 0.7, 7.25])
 def test_two_bessel_orders_give_the_third(p):
     z = np.geomspace(1e-3, 500.0, 400)
     got = fitmod._kve_neighbours(p, z)
     for k, order in zip(got, (p - 1.0, p, p + 1.0)):
         direct = fitmod._sspec.kve(order, z)
         assert np.max(np.abs(k / direct - 1.0)) <= 1e-13
+
+
+@given(twice_p=st.integers(-128, 128),
+       log_z=st.lists(st.floats(math.log(1e-3), math.log(800.0)),
+                      min_size=1, max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_half_integer_orders_by_recurrence(twice_p, log_z):
+    # 2p integer and |p| <= 64: the recurrence gives all three orders
+    p = twice_p / 2.0
+    z = np.exp(np.array(log_z))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = fitmod._kve_neighbours(p, z)
+    for k, order in zip(got, (p - 1.0, p, p + 1.0)):
+        direct = fitmod._sspec.kve(order, z)
+        assert np.array_equal(np.isinf(k), np.isinf(direct))
+        finite = np.isfinite(direct)
+        assert np.all(np.abs(k[finite] / direct[finite] - 1.0) <= 1e-13)
+
+
+@pytest.mark.parametrize("p", [-2.0, -15.5, 63.5])
+def test_recurrence_against_mpmath(p):
+    mpmath = pytest.importorskip("mpmath")
+    z = np.array([1e-3, 0.37, 2.0, 41.0, 800.0])
+    got = fitmod._kve_neighbours(p, z)
+    with mpmath.workdps(40):
+        for k, order in zip(got, (p - 1.0, p, p + 1.0)):
+            for value, zi in zip(k, z):
+                ref = mpmath.besselk(order, zi) * mpmath.exp(zi)
+                assert abs(value / float(ref) - 1.0) <= 1e-13
+
+
+def test_recurrence_only_within_the_order_bound(monkeypatch):
+    # above the bound (lambda = 1e6 gives a half-integer p too) or off the
+    # half-integers, kve gives the orders
+    taken = []
+    recurrence = fitmod._kve_recurrence
+
+    def recording(m, z):
+        taken.append(m)
+        return recurrence(m, z)
+
+    monkeypatch.setattr(fitmod, "_kve_recurrence", recording)
+    z = np.array([0.5, 3.0])
+    for p in (64.0, -64.0, -0.5, 64.5, -64.5, 1e6, -2.3):
+        fitmod._kve_neighbours(p, z)
+    assert taken == [64.0, 64.0, 0.5]
+
+
+def dense_max_q2(lam, t, sum_delta, sum_eta, chi, psi):
+    """Best _gig_q2 over 21 x 21 grids in (log chi, log psi), each centred on
+    the best node of the last and half its width."""
+    centre = np.array([math.log(chi), math.log(psi)])
+    best, width = -math.inf, 8.0
+    for _ in range(60):
+        grid = np.linspace(-width, width, 21)
+        for dc in grid:
+            for dp in grid:
+                node = centre + (dc, dp)
+                value = fitmod._gig_q2(lam, math.exp(node[0]),
+                                       math.exp(node[1]), t, sum_delta,
+                                       sum_eta, None)
+                if value > best:
+                    best, best_node = value, node
+        centre, width = best_node, 0.5 * width
+    return best
+
+
+GIG_LAWS = [Gig(-0.5, 1.44, 1.44), Gig(1.3, 0.5, 2.0), Gig(-3.0, 4.0, 0.2),
+            Gig(0.0, 2.0, 3.0)]
+
+
+@pytest.mark.parametrize("law", GIG_LAWS, ids=str)
+def test_exact_step_recovers_the_law_from_its_moments(law):
+    # with the law's own E[Z] and E[1/Z] as the mean weights, the mixing
+    # block is maximized at the law's (chi, psi): moment matching in the
+    # exponential family of GIG laws at fixed lam
+    delta_bar, eta_bar = law.raw_moment(1.0), law.raw_moment(-1.0)
+    chi, psi = fitmod._chi_psi_step(law.lam, 1.0, 1.0, delta_bar, eta_bar)
+    assert chi == pytest.approx(law.chi, rel=1e-9)
+    assert psi == pytest.approx(law.psi, rel=1e-9)
+
+
+@pytest.mark.parametrize("lam,start", [(-0.5, (1.0, 1.0)),
+                                       (1.3, (0.2, 5.0)),
+                                       (-3.0, (30.0, 0.01))],
+                         ids=["nig", "lam_positive", "lam_negative"])
+def test_exact_step_is_the_dense_search_maximum(lam, start):
+    rm = synthetic_returns(1000, seed=9)
+    truth = synthetic_model()
+    delta, eta, _, _ = _estep(rm.values, truth.mu, truth.gamma, truth.sigma,
+                              lam, *start, need_log=False)
+    t, sums = rm.t, (float(delta.sum()), float(eta.sum()), None)
+    new_lam, chi, psi = fitmod._update_mixing(lam, *start, t, sums, False)
+    assert new_lam == lam
+    got = fitmod._gig_q2(lam, chi, psi, t, *sums)
+    ref = dense_max_q2(lam, t, sums[0], sums[1], *start)
+    assert got >= ref - 1e-12 * abs(ref)
+    assert got >= fitmod._gig_q2(lam, *start, t, *sums)
+
+
+@given(lam=st.floats(-5.0, 5.0), log_chi=st.floats(-6.0, 6.0),
+       log_psi=st.floats(-6.0, 6.0), log_delta=st.floats(-4.0, 4.0),
+       log_prod=st.floats(0.0, 5.0))
+@settings(max_examples=200, deadline=None)
+def test_mixing_update_never_lowers_the_objective(lam, log_chi, log_psi,
+                                                  log_delta, log_prod):
+    # delta_bar eta_bar >= 1 holds for any E-step weights (Cauchy-Schwarz)
+    t = 500
+    chi, psi = math.exp(log_chi), math.exp(log_psi)
+    sum_delta = t * math.exp(log_delta)
+    sum_eta = t * math.exp(log_prod - log_delta)
+    sums = (sum_delta, sum_eta, None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, new_chi, new_psi = fitmod._update_mixing(lam, chi, psi, t, sums,
+                                                    False)
+    assert fitmod._gig_q2(lam, new_chi, new_psi, t, *sums) >= \
+        fitmod._gig_q2(lam, chi, psi, t, *sums)
+
+
+@pytest.mark.parametrize("lam", [-0.5, 1.3])
+def test_point_mass_sums_keep_chi_psi(lam):
+    # delta_bar eta_bar = 1 only when every weight comes from one point
+    # mass; the optimum lies at omega -> inf, so no root brackets it
+    assert fitmod._chi_psi_step(lam, 1.7, 0.3, 2.0, 0.5) == (1.7, 0.3)
+    assert fitmod._update_mixing(lam, 1.7, 0.3, 100, (200.0, 50.0, None),
+                                 False) == (lam, 1.7, 0.3)
 
 
 class TestFitConfig:
