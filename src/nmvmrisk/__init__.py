@@ -16,7 +16,7 @@ from .risk import (RiskResult, TwoPointCoefficients, YaLaw, cdf_ya, cvar_ya,
                    two_point_coefficients, var_ya)
 from .optimize import (DegenerateConstraintsError, FrontierPoint,
                        HypothesisCheck, QuadraticSolution, ReducedSolution,
-                       SingularGramError, check_skew_monotonicity, frontier,
+                       check_skew_monotonicity, frontier,
                        solve_mean_risk_reduced, solve_mean_risk_skew)
 from .fit import (EMError, FitConfig, FitResult, ModelFileError,
                   PriceFileError, ReturnsMatrix, load_model, load_prices,

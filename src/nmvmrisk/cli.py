@@ -151,7 +151,7 @@ def _cmd_frontier(args) -> int:
 def _cmd_compare(args) -> int:
     model = fitmod.load_model(args.model)
     portfolios = []
-    with open(args.portfolios, encoding="utf-8") as fh:
+    with open(args.portfolios, encoding="utf-8-sig") as fh:
         for line in fh:
             line = line.strip()
             if not line:

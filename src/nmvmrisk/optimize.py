@@ -3,21 +3,22 @@
 The mean-risk-skewness problem with constraints x^T m = r, x^T e_A = 1
 collapses to min ||x||^2 whenever the mixing law keeps skewness monotone in
 the alignment angle; the solution is the two-constraint least-norm point
-x = (s/2) m + (t/2) e_A. The mean-risk problem with a return floor reduces to
-two dimensions (the coordinates of x along mu0 and gamma0), where it is
-solved by one SLSQP run with the return floor as a linear constraint and the
-analytic gradient.
+x = (s/2) m + (t/2) e_A. The mean-risk problem with a return floor depends
+on x through x^T mu0, ||x|| and the angle a = x^T gamma0 / ||x|| alone; with
+risk(Y_a) replaced by its tangent at one a it becomes a least-norm problem
+with a closed form, and the optimum is the tangent point a that this closed
+form returns: one scalar root.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .mathkit import find_root
 from .mixing import skew_condition
 from .nmvm import TransformedModel, portfolio_moments, skew_derivative
 from .risk import (YaLaw, _check_beta, _check_measure, _solve, _SolveState,
@@ -25,7 +26,6 @@ from .risk import (YaLaw, _check_beta, _check_measure, _solve, _SolveState,
 
 __all__ = [
     "DegenerateConstraintsError",
-    "SingularGramError",
     "QuadraticSolution",
     "FrontierPoint",
     "ReducedSolution",
@@ -39,10 +39,6 @@ __all__ = [
 
 class DegenerateConstraintsError(ValueError):
     """The constraint vectors m and e_A are (numerically) parallel."""
-
-
-class SingularGramError(ValueError):
-    """The Gram matrix of (mu0, gamma0, e_A) is numerically singular."""
 
 
 @dataclass(frozen=True)
@@ -72,10 +68,11 @@ class FrontierPoint:
 
 @dataclass(frozen=True)
 class ReducedSolution:
-    """The reduced optimum. diagnostics holds risk_solves (scalar-risk
-    solves), quadrature_evaluations (their quadrature passes, Newton's and
-    the slopes', summed), slsqp_iterations and anchor_kept (whether the
-    anchor stood in for SLSQP's result, or nothing was left to optimize)."""
+    """The reduced optimum x_star, with mu_tilde_star = x^T mu0,
+    gamma_tilde_star = x^T gamma0 and g_value = x^T x. diagnostics holds
+    risk_solves (scalar-risk solves, one per tangent) and
+    quadrature_evaluations (their quadrature passes, Newton's and the
+    slopes', summed)."""
 
     mu_tilde_star: float
     gamma_tilde_star: float
@@ -110,22 +107,12 @@ def solve_mean_risk_skew(tm: TransformedModel, r: float) -> QuadraticSolution:
             f"mixing law violates the skewness condition ({cond:.3e} < 0); "
             "solution minimizes risk but may not maximize skewness",
             stacklevel=2)
-    m, e_a = tm.m, tm.e_a
-    mm = float(m @ m)
-    ee = float(e_a @ e_a)
-    me = float(m @ e_a)
-    det = mm * ee - me * me
-    scale = mm * ee
-    if abs(det) < 1e-14 * max(scale, 1e-300):
-        raise DegenerateConstraintsError(
-            f"constraint vectors are parallel: det={det:.3e}, scale={scale:.3e}")
-    s = 2.0 * (r * ee - me) / det
-    t = 2.0 * (mm - r * me) / det
-    x = 0.5 * s * m + 0.5 * t * e_a
+    c_m, c_e = _pair_coefficients(tm, r, 1.0)
+    x = c_m * tm.m + c_e * tm.e_a
     omega = tm.weights_from_x(x)
     return QuadraticSolution(
-        x_star=x, omega_star=omega, s=s, t=t,
-        achieved_return=float(x @ m),
+        x_star=x, omega_star=omega, s=2.0 * c_m, t=2.0 * c_e,
+        achieved_return=float(x @ tm.m),
         skewness=portfolio_moments(tm, x).skew)
 
 
@@ -150,7 +137,74 @@ def frontier(tm: TransformedModel, r_grid,
     return points
 
 
-_SLSQP_OPTIONS = {"ftol": 1e-13, "maxiter": 200}
+def _pair_coefficients(tm: TransformedModel, u: float,
+                       v: float) -> tuple[float, float]:
+    """(c_m, c_e) of the least-norm x = c_m m + c_e e_A with x^T m = u and
+    x^T e_A = v. Raises DegenerateConstraintsError where m and e_A are
+    (numerically) parallel."""
+    m, e_a = tm.m, tm.e_a
+    mm = float(m @ m)
+    ee = float(e_a @ e_a)
+    me = float(m @ e_a)
+    det = mm * ee - me * me
+    scale = mm * ee
+    if abs(det) < 1e-14 * max(scale, 1e-300):
+        raise DegenerateConstraintsError(
+            f"constraint vectors are parallel: det={det:.3e}, scale={scale:.3e}")
+    return (u * ee - v * me) / det, (v * mm - u * me) / det
+
+
+# a part of q normal to the active constraints below this share of ||q|| is
+# rounding: q then lies in their span
+_NORMAL_RTOL = 1e-12
+
+
+def _tangent_optimum(tm: TransformedModel, alpha: float, q: np.ndarray,
+                     k: float) -> tuple[np.ndarray | None, bool]:
+    """Minimize alpha ||x|| - q^T x subject to x^T e_A = 1 and x^T m >= k.
+
+    On the plane of the active constraints, with least-norm point x0 and
+    q_n the part of q normal to them, the minimum is
+    x0 + ||x0|| q_n / sqrt(alpha^2 - ||q_n||^2) where alpha > ||q_n||;
+    elsewhere the objective falls without bound along q_n, or, where q_n
+    is rounding and alpha < 0, along every direction. The floor binds where
+    the plane x^T e_A = 1 alone gives a minimum below it or a ray leaving
+    it. Returns (x, True) at the minimum, (d, False) for the unit direction
+    d it falls along, and (None, False) where it falls along every one.
+    Raises ArithmeticError where m is parallel to e_A and no x meets k.
+    """
+    m, e_a = tm.m, tm.e_a
+    q_tol = _NORMAL_RTOL * float(np.linalg.norm(q))
+
+    def on_plane(x0, q_n, free):
+        qn = float(np.linalg.norm(q_n))
+        if free == 0 or (qn <= q_tol and alpha >= 0.0):
+            return x0, True
+        if qn <= q_tol:
+            return None, False
+        if alpha > qn:
+            lift = float(np.linalg.norm(x0)) / math.sqrt(
+                (alpha - qn) * (alpha + qn))
+            return x0 + lift * q_n, True
+        return q_n / qn, False
+
+    x0 = e_a / float(e_a @ e_a)
+    slack = 1e-12 * max(1.0, abs(k))
+    try:
+        floor = _pair_coefficients(tm, k, 1.0)
+    except DegenerateConstraintsError:
+        # every x with x^T e_A = 1 earns the same return
+        if float(x0 @ m) < k - slack:
+            raise ArithmeticError("no feasible portfolio meets the return "
+                                  "floor; check k") from None
+        floor = None
+    x, bounded = on_plane(x0, q - float(q @ e_a) * x0, tm.n - 1)
+    if floor is None or x is None or float(x @ m) >= (k - slack if bounded
+                                                       else 0.0):
+        return x, bounded
+    q_m, q_e = _pair_coefficients(tm, float(q @ m), float(q @ e_a))
+    return on_plane(floor[0] * m + floor[1] * e_a, q - q_m * m - q_e * e_a,
+                    tm.n - 2)
 
 
 def solve_mean_risk_reduced(tm: TransformedModel, measure: str, beta: float,
@@ -158,30 +212,29 @@ def solve_mean_risk_reduced(tm: TransformedModel, measure: str, beta: float,
                             grid_size: int | None = None) -> ReducedSolution:
     """Minimize portfolio risk subject to x^T e_A = 1 and expected return >= k.
 
-    Works in the two reduced coordinates (x^T mu0, x^T gamma0); identically
-    zero direction vectors drop out of the basis (the elliptical and
-    no-location special cases), while genuinely collinear ones raise
-    SingularGramError. The reduced problem is convex for CVaR, so one SLSQP
-    solve with the return floor as a linear constraint replaces any search.
-    SLSQP gets the analytic gradient: the objective -x^T mu0 +
-    sqrt(v^T G^-1 v) risk(Y_a) and its slope in a come from one scalar-risk
-    solve per point (risk_ya_and_slope), and the chain rule through
-    a = x^T gamma0 / ||x|| gives the rest. Each coordinate is scaled by its
-    direction's reach, so that the variables SLSQP moves are of order one.
+    The risk of x is -x^T mu0 + ||x|| h(a), h(a) = risk(Y_a), at the angle
+    a = x^T gamma0 / ||x|| in [-b, b], b = ||gamma0||. With h replaced by
+    its tangent r + s (a' - a) at one a, the problem is _tangent_optimum's,
+    with alpha = r - s a and q = mu0 - s gamma0. The optimum is the a whose
+    tangent problem returns a portfolio at angle a: there the two problems
+    share value and gradient, and for CVaR, whose h is convex, the tangent
+    problem bounds the risk from below, so that portfolio is the global
+    optimum (for VaR, a stationary point). find_root takes that root of
+    g(a) = a - angle(x(a)), negative below -b and positive above b, from
+    a = 0 with secant slopes, one scalar-risk solve (risk_ya_and_slope) per
+    step. Where a tangent problem has no minimum, the angle of the ray it
+    falls along stands in for the portfolio's. A ray at the root shows the
+    reduced problem unbounded and raises ArithmeticError, as does a slope
+    that is not finite (for VaR, where the density of Y_a vanishes).
+    Without gamma0 every portfolio has a = 0: one solve of risk(Y_0), s = 0.
+
     The solves of one call share a private state (see risk._solve): each
     Newton pass seeds its quadrature with the previous pass's panels, and
-    each solve starts at the previous solve's root, since every iterate has
+    each solve starts at the previous solve's root, since every solve has
     the same mixing law, measure and level. Nothing outlives the call.
-    The solve starts from the least-norm portfolio at the return floor, and
-    that anchor is also the fallback: a result that is infeasible or worse
-    than the anchor (possible for VaR, which is not convex, or where a VaR
-    slope is not finite) is replaced by it. Without gamma0 the risk is
-    ||x|| risk(Y_0), priced once; the problem is then unbounded, and raises
-    ArithmeticError, when risk(Y_0) is below the norm of mu0 less its e_A
-    component.
 
-    grid_size has no effect: the convex solve needs no search grid. It is
-    still accepted so that callers written for the former grid search keep
+    grid_size has no effect: the root needs no search grid. It is still
+    accepted so that callers written for the former grid search keep
     working.
     """
     if tm.mode != "mean_risk":
@@ -189,126 +242,61 @@ def solve_mean_risk_reduced(tm: TransformedModel, measure: str, beta: float,
             "solve_mean_risk_reduced requires a transform with mode='mean_risk'")
     _check_measure(measure)
     _check_beta(beta)
-    ez = tm.mixing.moments().ez
-    e_norm = float(np.linalg.norm(tm.e_a))
-    zero_tol = 1e-13 * max(e_norm, 1.0)
+    if not k < math.inf:
+        raise ValueError(f"return floor k must be below inf, got {k}")
     b = tm.gamma0_norm
-    mu_norm = float(np.linalg.norm(tm.mu0))
-    has_mu = mu_norm > zero_tol
-    has_gamma = b > zero_tol
-    # the kept coordinates u of x along mu0 and gamma0: the expected return
-    # is ret_row @ u, and each is scaled by its direction's reach
-    reach = 4.0 * (1.0 / e_norm
-                   + (abs(k) + 1e-9) / max(float(np.linalg.norm(tm.m)), 1e-12))
-    cols, ret_row, scale = [], [], []
-    if has_mu:
-        cols.append(tm.mu0)
-        ret_row.append(1.0)
-        scale.append(mu_norm * reach)
-    if has_gamma:
-        cols.append(tm.gamma0)
-        ret_row.append(ez)
-        scale.append(b * reach)
-    cols.append(tm.e_a)
-    ret_row, scale = np.array(ret_row), np.array(scale)
-    basis = np.column_stack(cols)
-    gram = basis.T @ basis
-    if np.linalg.cond(gram) > 1e14:
-        raise SingularGramError(
-            f"direction vectors are collinear: cond(G)={np.linalg.cond(gram):.3e}")
-    g_inv = np.linalg.inv(gram)
-
-    # unit vectors of the mu0 and gamma0 coordinates among the kept ones
-    e_mu = np.zeros(len(scale))
-    e_gamma = np.zeros(len(scale))
-    if has_mu:
-        e_mu[0] = 1.0
+    has_gamma = b > 1e-13 * max(float(np.linalg.norm(tm.e_a)), 1.0)
     # shared by this call's solves; counts their passes
     state = _SolveState()
-    solves = 0
+    # one (a, g(a), x, bounded, alpha, s) per solve
+    steps = []
+
+    def gap(a: float) -> tuple[float, float]:
+        law = YaLaw(a, tm.mixing)
+        if has_gamma:
+            # positional, so that wrappers of the form (law, *args) see it
+            r, s = risk_ya_and_slope(law, measure, beta, state)
+            if not math.isfinite(s):
+                raise ArithmeticError(
+                    f"risk(Y_a) has no finite slope at a = {a:.6g}")
+        else:
+            r, s = _solve(law, measure, beta, state=state)[0], 0.0
+        alpha = r - s * a
+        x, bounded = _tangent_optimum(tm, alpha, tm.mu0 - s * tm.gamma0, k)
+        # where every direction falls, one at the tangent's own angle does
+        g = 0.0 if x is None else (
+            a - float(x @ tm.gamma0) / float(np.linalg.norm(x)))
+        slope = math.nan
+        if steps:
+            secant = (g - steps[-1][1]) / (a - steps[-1][0])
+            if secant > 0.0:
+                slope = secant
+        steps.append((a, g, x, bounded, alpha, s))
+        return g, slope
+
     if has_gamma:
-        e_gamma[-1] = 1.0
+        find_root(gap, 0.0, 0.25 * b)
     else:
-        # a = 0 everywhere: f = -x^T mu0 + ||x|| R0 falls without bound
-        # along P mu0, mu0 less its e_A component, when R0 < ||P mu0||
-        r0, state.passes, _ = _solve(YaLaw(0.0, tm.mixing), measure, beta)
-        solves = 1
-        p_mu = float(np.linalg.norm(
-            tm.mu0 - float(tm.mu0 @ tm.e_a) / e_norm ** 2 * tm.e_a))
-        if r0 < p_mu:
-            raise ArithmeticError(
-                f"the reduced problem is unbounded: risk(Y_0) = {r0:.6g} is "
-                f"below ||P mu0|| = {p_mu:.6g}")
-
-    def objective(u: np.ndarray) -> tuple[float, np.ndarray]:
-        # f = -mu_t + sg R(a), sg = sqrt(v^T G^-1 v), a = gam_t / sg: the
-        # gradient is -e_mu + dsg R + sg R'(a) da, da = (e_gamma - a dsg)/sg
-        nonlocal solves
-        v = np.append(u, 1.0)
-        g_v = g_inv @ v
-        sg = math.sqrt(float(v @ g_v))
-        dsg = g_v[:-1] / sg
-        if not has_gamma:
-            return -float(e_mu @ u) + sg * r0, -e_mu + dsg * r0
-        a = min(max(float(e_gamma @ u) / sg, -b), b)
-        solves += 1
-        # positional, so that wrappers of the form (law, *args) see it
-        r, slope = risk_ya_and_slope(YaLaw(a, tm.mixing), measure, beta,
-                                     state)
-        grad = -e_mu + dsg * r + slope * (e_gamma - a * dsg)
-        return -float(e_mu @ u) + sg * r, grad
-
-    # anchor: least-norm x with x^T m = k, x^T e_A = 1; when m is parallel to
-    # e_A, every x with x^T e_A = 1 earns the same return, and the least-norm
-    # one stands in
-    mm = float(tm.m @ tm.m)
-    me = float(tm.m @ tm.e_a)
-    ee = e_norm ** 2
-    if abs(mm * ee - me * me) > 1e-14 * max(mm * ee, 1e-300):
-        c = np.linalg.solve(np.array([[mm, me], [me, ee]]), np.array([k, 1.0]))
-        x_anchor = c[0] * tm.m + c[1] * tm.e_a
-    else:
-        x_anchor = tm.e_a / ee
-    # the anchor as SLSQP sees it, so that the fallback is the point priced
-    z0 = basis[:, :-1].T @ x_anchor / scale
-    u_best = z0 * scale
-    slack = 1e-12 * max(1.0, abs(k))
-    if float(ret_row @ u_best) < k - slack:
-        raise ArithmeticError("no feasible portfolio meets the return floor; "
-                              "check k")
-    iterations, anchor_kept = 0, True
-    if u_best.size:
-        # imported here: scipy.optimize adds ~0.3 s to every package import
-        from scipy.optimize import minimize
-        # a memo for this solve: SLSQP's first evaluation is the anchor, and
-        # its fun and jac at one point share a solve
-        @functools.cache
-        def scaled(z: tuple) -> tuple[float, np.ndarray]:
-            value, grad = objective(np.array(z) * scale)
-            return value, grad * scale
-
-        best = scaled(tuple(z0))[0]
-        res = minimize(
-            lambda z: scaled(tuple(z))[0], z0, method="SLSQP",
-            jac=lambda z: scaled(tuple(z))[1],
-            constraints=[{"type": "ineq",
-                          "fun": lambda z: float(ret_row @ (z * scale)) - k,
-                          "jac": lambda z: ret_row * scale}],
-            options=_SLSQP_OPTIONS)
-        u_res = res.x * scale
-        iterations = int(res.nit)
-        if float(ret_row @ u_res) >= k - slack and res.fun <= best:
-            u_best, anchor_kept = u_res, False
-    v = np.append(u_best, 1.0)
+        gap(0.0)
+    # the last solve lies within the root tolerance of the root
+    a, _, x, bounded, alpha, s = steps[-1]
+    if not bounded:
+        q = tm.mu0 - s * tm.gamma0
+        normal = float(np.linalg.norm(
+            q - float(q @ tm.e_a) / float(tm.e_a @ tm.e_a) * tm.e_a))
+        lhs, rhs = ((f"at a = {a:.6g}, risk(Y_a) - a risk'(Y_a)",
+                     "||P (mu0 - risk'(Y_a) gamma0)||") if has_gamma else
+                    ("risk(Y_0)", "||P mu0||"))
+        raise ArithmeticError(
+            f"the reduced problem is unbounded: {lhs} = {alpha:.6g} is "
+            f"below {rhs} = {normal:.6g}")
     return ReducedSolution(
-        mu_tilde_star=float(u_best[0]) if has_mu else 0.0,
-        gamma_tilde_star=float(u_best[-1]) if has_gamma else 0.0,
-        x_star=basis @ (g_inv @ v),
-        g_value=float(v @ g_inv @ v),
-        diagnostics={"risk_solves": solves,
-                     "quadrature_evaluations": state.passes,
-                     "slsqp_iterations": iterations,
-                     "anchor_kept": anchor_kept})
+        mu_tilde_star=float(x @ tm.mu0),
+        gamma_tilde_star=float(x @ tm.gamma0),
+        x_star=x,
+        g_value=float(x @ x),
+        diagnostics={"risk_solves": len(steps),
+                     "quadrature_evaluations": state.passes})
 
 
 _SKEW_GRID_POINTS = 201

@@ -80,6 +80,20 @@ class TestFitCommand:
         assert json.loads(out)["iterations"] == 2
         assert nr.load_model(out_file).n == 2
 
+    def test_byte_order_mark_portfolio_file(self, tmp_path, capsys):
+        # the compare command's weight rows, saved with a byte-order mark,
+        # price like the same rows without one
+        outs = []
+        for text in ("0.2,0.2,0.2,0.2,0.2\n", "\ufeff0.2,0.2,0.2,0.2,0.2\n"):
+            ports = tmp_path / "ports.csv"
+            ports.write_text(text, encoding="utf-8")
+            code, out, err = run(capsys, "compare", "--model", MODEL,
+                                 "--portfolios", str(ports), "--betas", "0.1",
+                                 "--measure", "var")
+            assert (code, err) == (EXIT_OK, "")
+            outs.append(out)
+        assert outs[0] == outs[1]
+
     def test_bessel_overflow_prints_one_line(self, tmp_path):
         # a fresh process, so that numpy's warnings reach stderr as they
         # would for a user
@@ -406,11 +420,23 @@ def _package_env() -> dict:
 
 def test_import_leaves_scipy_stats_unloaded():
     # scipy.stats (~0.4 s) and scipy.optimize (~0.3 s) would be part of
-    # every CLI start; only Gig.sample, the CM2 update, the reduced
-    # optimizer and cvar_via_F need them, and they import them when called
+    # every CLI start; only Gig.sample, the CM2 update and cvar_via_F need
+    # them, and they import them when called
     out = subprocess.run(
         [sys.executable, "-c",
          "import sys, nmvmrisk.cli; "
          "print([m in sys.modules for m in ('scipy.stats', 'scipy.optimize')])"],
         env=_package_env(), capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[False, False]"
+
+
+def test_reduced_solve_leaves_scipy_optimize_unloaded():
+    # the reduced optimizer's root is the package's own find_root
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, nmvmrisk as nr; "
+         f"tm = nr.transform(nr.load_model({MODEL!r})); "
+         "nr.solve_mean_risk_reduced(tm, 'cvar', 0.05, k=0.001); "
+         "print('scipy.optimize' in sys.modules)"],
+        env=_package_env(), capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

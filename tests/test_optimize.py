@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import optimize as _sopt
 
 import nmvmrisk as nr
@@ -12,7 +14,7 @@ from nmvmrisk import mixing as mixmod
 from nmvmrisk import optimize as optmod
 from nmvmrisk.mixing import Gamma, Gig, InverseGaussian
 from nmvmrisk.nmvm import portfolio_moments, project, transform
-from nmvmrisk.optimize import (DegenerateConstraintsError, SingularGramError,
+from nmvmrisk.optimize import (DegenerateConstraintsError,
                                check_skew_monotonicity, frontier,
                                solve_mean_risk_reduced, solve_mean_risk_skew)
 from nmvmrisk.risk import (YaLaw, cvar_via_F, portfolio_risk_exact,
@@ -302,6 +304,46 @@ class TestMeanRiskReduced:
                            match=r"unbounded: risk\(Y_0\) = 0 .* 0\.0604"):
             solve_mean_risk_reduced(tm, "var", 0.5, k=k)
 
+    @pytest.mark.parametrize("mu, gamma, measure, beta, k", [
+        # the risk falls without bound along a ray at a = 0.238, and at
+        # a = 1.25 with gamma five times as large; a solver that misses it
+        # walks to |x^T e_A| ~ 1e15 and a "risk" of -1e29
+        ([0.01, 0.02, 0.0], [0.05, -0.03, 0.02], "var", 0.5, 0.0),
+        ([0.01, 0.02, 0.0], [0.25, -0.15, 0.1], "cvar", 0.5, 0.0),
+        # mu0 parallel to e_A and risk(Y_0) < 0: the risk falls as ||x||
+        # grows along any direction, though the part of mu0 normal to e_A
+        # is rounding, not 0
+        ([0.01, 0.01, 0.01], [0.0, 0.0, 0.0], "var", 0.7, -1.0)],
+        ids=["var", "cvar", "mu0-along-e_A"])
+    def test_unbounded_raises(self, mu, gamma, measure, beta, k):
+        model = nr.NmvmModel(mu=mu, gamma=gamma, sigma=SIGMA_3,
+                             mixing=Gig(-0.5, 1.44, 1.44))
+        tm = transform(model, mode="mean_risk")
+        with pytest.raises(ArithmeticError, match="unbounded"):
+            solve_mean_risk_reduced(tm, measure, beta, k=k)
+
+    def test_tangent_ray_leaving_the_floor(self):
+        # at the root the tangent problem on x^T e_A = 1 falls along a ray
+        # that breaks the floor; on the floor it has a minimum, and that is
+        # the optimum, below the least-norm portfolio's 0.5158 there
+        model = nr.NmvmModel(
+            mu=[0.29929227784701273, -0.299525633185062, 0.018255210922086845],
+            gamma=[-0.3210764829709724, 0.3290618511343299,
+                   -0.0052850308539928075],
+            sigma=np.eye(3), mixing=Gamma(0.5, 0.5))
+        tm = transform(model, mode="mean_risk")
+        k = 0.04639220975974262
+        x = solve_mean_risk_reduced(tm, "var", 0.3, k=k).x_star
+        assert float(x @ tm.m) == pytest.approx(k, abs=1e-12)
+        got = portfolio_risk_exact(tm, x, "var", 0.3).value
+        assert got == pytest.approx(0.5019778864, abs=1e-9)
+        # the floor's line, and steps off it into the feasible side
+        q, _ = np.linalg.qr(np.column_stack([tm.e_a, tm.m]), mode="complete")
+        along, inward = q[:, 2], q[:, 1] * np.sign(q[:, 1] @ tm.m)
+        for step in np.linspace(-2.0, 2.0, 21):
+            for y in (x + step * along, x + abs(step) * inward):
+                assert portfolio_risk_exact(tm, y, "var", 0.3).value >= got
+
     def test_bounded_without_gamma_solves(self):
         # CVaR_0.05(Y_0) = 0.624 exceeds ||P mu0||: the floor stays inactive
         tm = _elliptical(np.array([0.01, 0.02, 0.0]), Gamma(0.3, 5.0))
@@ -373,21 +415,16 @@ class TestMeanRiskReduced:
     @pytest.mark.parametrize("measure", ["cvar", "var"])
     def test_one_risk_solve_per_abscissa(self, tm_location, monkeypatch,
                                          measure):
-        # SLSQP's first evaluation is the anchor that the fallback prices,
-        # and its objective and gradient at one point share a solve; the
-        # benchmark's configuration took 25 (cvar) and 30 (var) solves with
-        # finite-difference gradients
+        # one solve per tangent point, none of them repeated
         seen = self.count_solves(monkeypatch)
         solve_mean_risk_reduced(tm_location, measure, 0.05, k=0.001)
-        assert 0 < len(seen) <= 13
+        assert 0 < len(seen) <= 8
         assert len(seen) == len(set(seen))
 
     def test_active_floor_solve_count(self, tm_location, monkeypatch):
-        # on the floor the finite-difference gradients chased quadrature
-        # noise for 40 solves
         seen = self.count_solves(monkeypatch)
         solve_mean_risk_reduced(tm_location, "cvar", 0.05, k=0.006)
-        assert 0 < len(seen) <= 10
+        assert 0 < len(seen) <= 8
 
     def test_solve_count_over_levels_and_floors(self, tm_location,
                                                 monkeypatch):
@@ -402,52 +439,23 @@ class TestMeanRiskReduced:
                                                   k=k)
                     assert float(sol.x_star @ tm_location.m) >= k - 1e-12
                     counts.append(len(seen))
-        assert 0 < max(counts) <= 25
+        assert 0 < max(counts) <= 8
 
-    def test_gradient_matches_central_difference(self, tm_location,
-                                                 monkeypatch):
-        # the jac SLSQP receives, against central differences of its fun
-        calls = []
-        real_minimize = _sopt.minimize
-
-        def spy(fun, x0, **kwargs):
-            calls.append((fun, kwargs["jac"], x0))
-            return real_minimize(fun, x0, **kwargs)
-
-        monkeypatch.setattr(_sopt, "minimize", spy)
-        for measure in ("cvar", "var"):
-            solve_mean_risk_reduced(tm_location, measure, 0.05, k=0.001)
-        for fun, jac, z0 in calls:
-            for z in (z0, 0.9 * z0):
-                step = 1e-6
-                central = [(fun(z + step * e) - fun(z - step * e)) / (2 * step)
-                           for e in np.eye(z.size)]
-                assert jac(z) == pytest.approx(central, rel=1e-5, abs=1e-9)
-
-    def test_non_finite_slope_falls_back_to_anchor(self, tm_location,
-                                                   monkeypatch):
-        # a VaR solve whose last pass dropped the density row has no slope;
-        # SLSQP then gets a nan gradient, and the anchor stands in
+    def test_non_finite_slope_raises(self, tm_location, monkeypatch):
+        # a VaR solve whose last pass dropped the density row has no slope,
+        # and so no tangent
         def no_slope(law, *args):
             return risk_ya_and_slope(law, *args)[0], math.nan
 
         monkeypatch.setattr(optmod, "risk_ya_and_slope", no_slope)
-        k = 0.001
-        sol = solve_mean_risk_reduced(tm_location, "var", 0.05, k=k)
-        mm = float(tm_location.m @ tm_location.m)
-        me = float(tm_location.m @ tm_location.e_a)
-        ee = float(tm_location.e_a @ tm_location.e_a)
-        c = np.linalg.solve(np.array([[mm, me], [me, ee]]), [k, 1.0])
-        x_anchor = c[0] * tm_location.m + c[1] * tm_location.e_a
-        assert np.allclose(sol.x_star, x_anchor, rtol=0.0, atol=1e-12)
-        assert float(sol.x_star @ tm_location.m) >= k - 1e-12
+        with pytest.raises(ArithmeticError, match="no finite slope"):
+            solve_mean_risk_reduced(tm_location, "var", 0.05, k=0.001)
 
     @pytest.mark.parametrize("measure", ["cvar", "var"])
     def test_integrand_calls_per_reduced_call(self, tm_location, monkeypatch,
                                               measure):
         # the solves of one call share their quadrature panels and Newton
-        # root: 55 (cvar) and 57 (var) integrand calls, where every pass
-        # seeding its own 8 panels took 660 and 720
+        # root: 24 integrand calls for either measure
         calls = []
         real = mixmod.integrate_semi_infinite
 
@@ -463,25 +471,24 @@ class TestMeanRiskReduced:
         seen = self.count_solves(monkeypatch)
         sol = solve_mean_risk_reduced(tm_location, "cvar", 0.05, k=0.001)
         diag = sol.diagnostics
-        assert set(diag) == {"risk_solves", "quadrature_evaluations",
-                             "slsqp_iterations", "anchor_kept"}
+        assert set(diag) == {"risk_solves", "quadrature_evaluations"}
         assert diag["risk_solves"] == len(seen)
         assert diag["quadrature_evaluations"] >= diag["risk_solves"]
-        assert diag["slsqp_iterations"] > 0
-        assert diag["anchor_kept"] is False
-        assert [type(v) for v in diag.values()] == [int, int, int, bool]
-        # without gamma0 the risk of Y_0 is priced once, before SLSQP
+        assert [type(v) for v in diag.values()] == [int, int]
+        # without gamma0 the risk of Y_0 is priced once
         tm = _elliptical(np.array([0.01, 0.02, 0.0]), Gamma(0.3, 5.0))
         diag = solve_mean_risk_reduced(tm, "cvar", 0.05, k=-1.0).diagnostics
         assert diag["risk_solves"] == 1
         assert diag["quadrature_evaluations"] >= 1
 
-    def test_nothing_to_optimize_keeps_the_anchor(self):
+    def test_nothing_to_optimize_gives_the_least_norm_portfolio(self):
+        # mu = gamma = 0: the risk is ||x|| risk(Y_0), least at x = e_A/||e_A||^2
         model = nr.NmvmModel(mu=np.zeros(2), gamma=np.zeros(2),
                              sigma=np.eye(2), mixing=Gamma(1.0, 1.0))
         tm = transform(model, mode="mean_risk")
-        diag = solve_mean_risk_reduced(tm, "cvar", 0.05, k=-1.0).diagnostics
-        assert diag["slsqp_iterations"] == 0 and diag["anchor_kept"] is True
+        sol = solve_mean_risk_reduced(tm, "cvar", 0.05, k=-1.0)
+        assert sol.diagnostics["risk_solves"] == 1
+        assert np.array_equal(sol.x_star, tm.e_a / float(tm.e_a @ tm.e_a))
 
     def test_shared_state_ends_with_the_call(self, tm_location):
         # nothing carries over from one call to the next
@@ -528,13 +535,24 @@ class TestMeanRiskReduced:
         eigvals = np.linalg.eigvalsh(basis.T @ basis)
         assert eigvals[0] > 0.0
 
-    def test_singular_gram_rejected(self):
-        # mu parallel to gamma in x-space triggers the collinearity error
+    def test_collinear_directions_solve(self):
+        # mu, gamma and e_A are parallel in x-space: the one angle is
+        # a = ||gamma0||, and x = e_A/||e_A||^2 is the one portfolio there
+        # that spends the least norm
         model = nr.NmvmModel(mu=[0.02, 0.02], gamma=[0.04, 0.04],
                              sigma=np.eye(2), mixing=Gamma(1.0, 1.0))
         tm = transform(model, mode="mean_risk")
-        with pytest.raises(SingularGramError):
-            solve_mean_risk_reduced(tm, "cvar", 0.1, k=0.0)
+        sol = solve_mean_risk_reduced(tm, "cvar", 0.1, k=0.0)
+        assert sol.x_star == pytest.approx([0.5, 0.5], rel=1e-12)
+
+    def test_floor_must_be_below_inf(self, tm_location):
+        # k = -inf drops the floor; nan and +inf are no floor at all
+        for k in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="return floor"):
+                solve_mean_risk_reduced(tm_location, "cvar", 0.05, k=k)
+        free = solve_mean_risk_reduced(tm_location, "cvar", 0.05, k=-math.inf)
+        low = solve_mean_risk_reduced(tm_location, "cvar", 0.05, k=-1.0)
+        assert np.array_equal(free.x_star, low.x_star)
 
     def test_requires_mean_risk_mode(self, tm_skew):
         with pytest.raises(ValueError):
@@ -550,6 +568,98 @@ class TestMeanRiskReduced:
         tm = transform(model, mode="mean_risk")
         with pytest.raises(ValueError, match="beta|measure"):
             solve_mean_risk_reduced(tm, measure, beta, k=-1.0)
+
+
+class TestTwoAssets:
+    """Two assets: x^T e_A = 1 leaves one weight free, so a scan over it
+    finds the optimum without the solver."""
+
+    MODEL = nr.NmvmModel(mu=[0.01, 0.02], gamma=[0.05, -0.03],
+                         sigma=[[0.04, 0.01], [0.01, 0.09]],
+                         mixing=Gig(-0.5, 1.44, 1.44))
+
+    @staticmethod
+    def risks(tm, measure, k, w1) -> np.ndarray:
+        """Exact risks of the portfolios (w1, 1 - w1); inf where one misses
+        the floor k."""
+        out = []
+        for w in w1:
+            x = tm.x_from_weights([w, 1.0 - w])
+            out.append(portfolio_risk_exact(tm, x, measure, 0.05).value
+                       if float(x @ tm.m) >= k else math.inf)
+        return np.array(out)
+
+    @pytest.mark.parametrize("measure", ["cvar", "var"])
+    @pytest.mark.parametrize("k", [0.0, 0.06])
+    def test_no_scanned_portfolio_does_better(self, measure, k):
+        # the unconstrained optimum earns 0.047, so k = 0.06 binds
+        tm = transform(self.MODEL, mode="mean_risk")
+        sol = solve_mean_risk_reduced(tm, measure, 0.05, k=k)
+        x = sol.x_star
+        assert float(x @ tm.e_a) == pytest.approx(1.0, abs=1e-12)
+        assert float(x @ tm.m) >= k - 1e-12
+        got = portfolio_risk_exact(tm, x, measure, 0.05).value
+        # a coarse scan over the line, then a fine one about its best
+        coarse = np.linspace(-3.0, 4.0, 71)
+        coarse_risks = self.risks(tm, measure, k, coarse)
+        w_best = coarse[np.argmin(coarse_risks)]
+        fine = np.linspace(w_best - 0.1, w_best + 0.1, 101)
+        assert got <= min(coarse_risks.min(),
+                          self.risks(tm, measure, k, fine).min())
+
+    def test_unconstrained_cvar_optimum(self):
+        tm = transform(self.MODEL, mode="mean_risk")
+        sol = solve_mean_risk_reduced(tm, "cvar", 0.05, k=0.0)
+        assert tm.weights_from_x(sol.x_star) == pytest.approx(
+            [0.8146, 0.1854], abs=1e-4)
+        assert portfolio_risk_exact(tm, sol.x_star, "cvar", 0.05).value == \
+            pytest.approx(0.3330472353, abs=1e-10)
+
+
+_BOOK_LAWS = [Gig(-0.5, 0.87953198, 0.645169932),
+              Gig(-0.378655004, 0.379275063, 0.371543387),
+              Gamma(0.5, 0.5), Gamma(2.0, 2.0), InverseGaussian(1.0, 1.0)]
+
+
+@given(data=st.data(), n=st.integers(3, 5), law=st.sampled_from(_BOOK_LAWS),
+       measure=st.sampled_from(["cvar", "var"]),
+       beta=st.sampled_from([0.1, 0.05, 0.01]),
+       k=st.one_of(st.just(-1.0), st.floats(-0.02, 0.04)))
+@settings(max_examples=30, deadline=None)
+def test_reduced_optimum_is_locally_least(data, n, law, measure, beta, k):
+    # no feasible step of 1e-3 ||x|| along the constraint set lowers the
+    # exact risk by more than the quadrature tolerance of the two prices
+    mu = data.draw(st.lists(st.floats(-0.02, 0.02), min_size=n, max_size=n))
+    gamma = data.draw(st.lists(st.floats(-0.05, 0.05), min_size=n,
+                               max_size=n))
+    factor = np.diag(data.draw(st.lists(st.floats(0.1, 0.3), min_size=n,
+                                        max_size=n)))
+    factor[np.tril_indices(n, -1)] = data.draw(st.lists(
+        st.floats(-0.1, 0.1), min_size=n * (n - 1) // 2,
+        max_size=n * (n - 1) // 2))
+    model = nr.NmvmModel(mu=mu, gamma=gamma, sigma=factor @ factor.T,
+                         mixing=law)
+    tm = transform(model, mode="mean_risk")
+    try:
+        x = solve_mean_risk_reduced(tm, measure, beta, k=k).x_star
+    except ArithmeticError as exc:
+        assume("unbounded" not in str(exc))
+        raise
+    assert float(x @ tm.e_a) == pytest.approx(1.0, abs=1e-12)
+    slack = 1e-12 * max(1.0, abs(k))
+    assert float(x @ tm.m) >= k - slack
+    at = portfolio_risk_exact(tm, x, measure, beta)
+    norm = float(np.linalg.norm(x))
+    tol = 2.0 * norm * (1e-10 + 1e-8 * abs(at.diagnostics["scalar_risk"]))
+    # directions normal to e_A: those also normal to m, and the one along
+    # the part of m normal to e_A
+    q, _ = np.linalg.qr(np.column_stack([tm.e_a, tm.m]), mode="complete")
+    for d in q[:, 1:].T:
+        for step in (1e-3 * norm * d, -1e-3 * norm * d):
+            y = x + step
+            if float(y @ tm.m) >= k - slack:
+                risk = portfolio_risk_exact(tm, y, measure, beta).value
+                assert risk >= at.value - tol
 
 
 class TestOneAsset:
@@ -588,15 +698,13 @@ class TestOneAsset:
         assert all(math.isnan(p.cvar) for p in points)
 
     def test_reduced_solver(self):
-        tm = transform(self.model(), mode="mean_risk")
-        with pytest.raises(SingularGramError, match="collinear"):
-            solve_mean_risk_reduced(tm, "cvar", 0.05, k=0.0)
-        # with mu = gamma = 0 both directions drop out: x = 1/e_A = 0.2, the
-        # one portfolio with x^T e_A = 1
-        tm = transform(self.model(mu=0.0, gamma=0.0), mode="mean_risk")
-        for measure in ("var", "cvar"):
-            sol = solve_mean_risk_reduced(tm, measure, 0.05, k=0.0)
-            assert sol.x_star == pytest.approx([0.2], rel=1e-12)
+        # x = 1/e_A = 0.2 is the one portfolio with x^T e_A = 1, with or
+        # without mu and gamma
+        for mu, gamma in ((0.01, 0.02), (0.0, 0.0)):
+            tm = transform(self.model(mu=mu, gamma=gamma), mode="mean_risk")
+            for measure in ("var", "cvar"):
+                sol = solve_mean_risk_reduced(tm, measure, 0.05, k=0.0)
+                assert sol.x_star == pytest.approx([0.2], rel=1e-12)
 
 
 class TestHypothesisCheck:
